@@ -10,6 +10,10 @@ count/p^(nk).  Three engines compute them:
   integer-coefficient polynomials, efficient when the singular locus is
   small (diagonal sums and the like).
 
+ball_ratio_sequence is the one place that runs the engines over all depths;
+the depth fits (fit_padic_lct, estimate_eps_padic) both read the table it
+returns, so a report computes each mass once.
+
 Conventions: |p|_p = 1/p, the Haar measure of Z_p is 1, and only Q_p itself
 (prime residue fields) is supported.
 """
@@ -18,14 +22,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
 import numpy as np
 
-from .polys import Polynomial, PolyMap
+from .polys import Polynomial, PolyMap, substitute_affine
 
 DEFAULT_CELL_BUDGET = 10_000_000
 RECURSION_NODE_BUDGET = 50_000
@@ -63,20 +67,6 @@ def is_prime(p: int) -> bool:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-
-
-@dataclass(frozen=True)
-class PAdicConfig:
-    p: int
-    k_max: int
-    cell_budget: int = field(default_factory=default_cell_budget)
-
-    def __post_init__(self):
-        _require_prime(self.p)
-        if self.k_max < 0:
-            raise ValueError("k_max must be >= 0")
-        if self.cell_budget < 1:
-            raise ValueError("cell budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -288,20 +278,6 @@ def _gradient_unit_mod_p(terms, point, p, n) -> bool:
     return False
 
 
-def _substitute_shift(terms, r: Sequence[int], p: int, n: int) -> dict[tuple[int, ...], int]:
-    """Integer terms of f(r + p*z) given integer terms of f."""
-    poly = Polynomial(n, {exps: Fraction(c) for exps, c in terms})
-    shifted_vars = [Polynomial.constant(n, r[i]) + p * Polynomial.variable(n, i) for i in range(n)]
-    result = Polynomial.zero(n)
-    for exps, coeff in poly.terms():
-        term = Polynomial.constant(n, coeff)
-        for axis, e in enumerate(exps):
-            if e:
-                term = term * shifted_vars[axis] ** e
-        result = result + term
-    return {exps: int(c) for exps, c in result.terms()}
-
-
 def zero_fiber_mass_recursive(poly: Polynomial, p: int, k: int,
                               node_budget: int = RECURSION_NODE_BUDGET) -> Fraction:
     """Mass of {x in Z_p^n : f(x) = 0 mod p^k} by recursive residue lifting.
@@ -343,7 +319,7 @@ def zero_fiber_mass_recursive(poly: Polynomial, p: int, k: int,
                 # p^((n-1)(depth-1)) solutions (implicit-coordinate count).
                 total += p ** ((n - 1) * (depth - 1))
                 continue
-            shifted = _substitute_shift(reduced, r, p, n)
+            shifted = substitute_affine(dict(reduced), r, (p,) * n)
             if not shifted:
                 total += p ** (n * (depth - 1))
                 continue
@@ -463,21 +439,28 @@ def _fit_depth_model(depths: np.ndarray, logs: np.ndarray, log_p_of_k: np.ndarra
     return slope, m, residuals
 
 
-def fit_padic_lct(poly: Polynomial, p: int, k_max: int, cell_budget: int | None = None,
-                  method: str = "auto") -> PadicLctFit:
-    """Fit the threshold exponent from exact masses of {val(f) >= k}.
+def _one_dim_depth(table: PadicMassTable) -> int:
+    if table.m != 1:
+        raise ValueError("depth fits are implemented for one-dimensional targets")
+    return len(table.rows) - 1
 
-    Masses identically proportional to p^-k (constant ratio) mean the fiber
-    is smooth-like and only 'threshold >= 1' can be asserted; that case is
-    returned as a sentinel.  Otherwise the slope of log_p mass against -k
-    over the deep half k in [k_max/2, k_max] is reported together with the
-    log-power in {0, 1, 2} minimizing the residual.
+
+def fit_padic_lct(table: PadicMassTable) -> PadicLctFit:
+    """Fit the threshold exponent from the exact masses of {val(f) >= k}.
+
+    Reads the table that ball_ratio_sequence built around 0, the same table
+    estimate_eps_padic reads.  Masses identically proportional to p^-k
+    (constant ratio) mean the fiber is smooth-like and only 'threshold >= 1'
+    can be asserted; that case is returned as a sentinel.  Otherwise the
+    slope of log_p mass against -k over the deep half k in [k_max/2, k_max]
+    is reported together with the log-power in {0, 1, 2} minimizing the
+    residual.
     """
+    k_max = _one_dim_depth(table)
     if k_max < 4:
         raise ValueError("need k_max >= 4 to fit")
-    masses = [zero_fiber_mass(poly, p, k, cell_budget, method=method) for k in range(k_max + 1)]
-    ratios = [mass * Fraction(p) ** k for k, mass in enumerate(masses)]
-    if len(set(ratios[1:])) == 1:
+    p, masses = table.p, table.masses()
+    if len(set(table.ratios()[1:])) == 1:
         return PadicLctFit(slope=None, log_power=0, sentinel_ge_one=True, residuals={})
 
     k_lo = max(1, math.ceil(k_max / 2))
@@ -491,19 +474,18 @@ def fit_padic_lct(poly: Polynomial, p: int, k_max: int, cell_budget: int | None 
     return PadicLctFit(slope=slope, log_power=m, sentinel_ge_one=False, residuals=residuals)
 
 
-def estimate_eps_padic(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | int = 0,
-                       cell_budget: int | None = None, method: str = "auto") -> PadicEpsEstimate:
-    """Classify the integrability exponent from ball-ratio growth at y.
+def estimate_eps_padic(table: PadicMassTable) -> PadicEpsEstimate:
+    """Classify the integrability exponent from ball-ratio growth.
 
-    Constant or polynomially growing ratios mean an infinite exponent;
-    geometric growth p^((1-c)k) identifies the threshold c and the exponent
-    c/(1-c).  Both growth hypotheses are fitted and their residuals
-    reported; close residuals are flagged ambiguous.
+    Reads the table that ball_ratio_sequence built around the target point,
+    the same table fit_padic_lct reads.  Constant or polynomially growing
+    ratios mean an infinite exponent; geometric growth p^((1-c)k) identifies
+    the threshold c and the exponent c/(1-c).  Both growth hypotheses are
+    fitted and their residuals reported; close residuals are flagged
+    ambiguous.
     """
-    if pmap.m != 1:
-        raise ValueError("exponent classification is implemented for one-dimensional targets")
-    table = ball_ratio_sequence(pmap, p, k_max, y, cell_budget, method=method)
-    ratios = table.ratios()
+    k_max = _one_dim_depth(table)
+    p, ratios = table.p, table.ratios()
     if len(set(ratios)) == 1:
         return PadicEpsEstimate(
             infinite=True, value=None, threshold=None,

@@ -399,22 +399,52 @@ def evaluate(pmap: PolyMap, point: Sequence[Scalar]) -> list:
     return [comp.evaluate_float([float(v) for v in point]) for comp in pmap.components]
 
 
+def substitute_affine(terms: Mapping[Exponents, Scalar], shift: Sequence[Scalar],
+                      scale: Sequence[Scalar] | None = None) -> dict[Exponents, Scalar]:
+    """Terms of f(shift + scale*z) from the terms {exponents: coeff} of f.
+
+    Each factor (s + c*z)^e expands by the binomial theorem over power
+    tables of s and c.  Coefficients stay in the type they come in (int or
+    Fraction), zero terms are dropped, and an axis with s = 0 keeps every
+    term a single monomial in that variable.
+    """
+    n = len(shift)
+    scale = scale if scale is not None else (1,) * n
+    top = [max((exps[i] for exps in terms), default=0) for i in range(n)]
+    shift_powers = [[s**j for j in range(e + 1)] for s, e in zip(shift, top)]
+    scale_powers = [[c**j for j in range(e + 1)] for c, e in zip(scale, top)]
+    rows: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+
+    def row(axis: int, e: int) -> list[tuple[int, Scalar]]:
+        """Nonzero (j, coefficient of z^j) in (s + c*z)^e."""
+        if (axis, e) not in rows:
+            s, c = shift_powers[axis], scale_powers[axis]
+            entries, binom = [], 1
+            for j in range(e + 1):
+                if s[e - j] and c[j]:
+                    entries.append((j, binom * s[e - j] * c[j]))
+                binom = binom * (e - j) // (j + 1)  # C(e, j+1)
+            rows[axis, e] = entries
+        return rows[axis, e]
+
+    result: dict[Exponents, Scalar] = {}
+    for exps, coeff in terms.items():
+        partial: dict[Exponents, Scalar] = {(): coeff}
+        for axis, e in enumerate(exps):
+            partial = {k + (j,): v * b for k, v in partial.items() for j, b in row(axis, e)}
+        for k, v in partial.items():
+            result[k] = result.get(k, 0) + v
+    return {k: v for k, v in result.items() if v}
+
+
 def shift_to_origin(pmap: PolyMap, x0: Sequence[Scalar]) -> PolyMap:
     """Recenter: z maps to f(x0 + z) - f(x0), which vanishes at z = 0."""
     if len(x0) != pmap.n:
         raise ValueError(f"base point has dimension {len(x0)}, expected {pmap.n}")
     x0 = [Fraction(v) for v in x0]
-    n = pmap.n
-    shifted_vars = [Polynomial.variable(n, i) + x0[i] for i in range(n)]
-    new_components = []
+    components = []
     for comp in pmap.components:
-        result = Polynomial.zero(n)
-        for exps, coeff in comp.terms():
-            term = Polynomial.constant(n, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * shifted_vars[i] ** e
-            result = result + term
-        result = result - comp.evaluate(x0)
-        new_components.append(result)
-    return PolyMap(new_components)
+        terms = substitute_affine(comp._terms, x0)
+        terms.pop((0,) * pmap.n, None)
+        components.append(Polynomial(pmap.n, terms))
+    return PolyMap(components)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polys import Polynomial, PolyMap
+from .polys import Polynomial, PolyMap, substitute_affine
 from .values import ExponentValue
 
 SHARD_SIZE = 1 << 18
@@ -502,44 +502,13 @@ def _derivative_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
     return [c * i for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
 
 
-def _sign_changes(coeffs: list[Fraction]) -> int:
-    signs = [c > 0 for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _descartes_bound_01(coeffs: list[Fraction]) -> int:
+def _descartes_bound_01(terms: dict[tuple[int], Fraction]) -> int:
     """Upper bound (exact when 0 or 1) on roots in the open interval (0, 1)."""
-    degree = len(coeffs) - 1
     # r(u) = (1+u)^degree * q(1/(1+u)); roots of q in (0,1) <-> roots of r in (0,inf).
-    out = [Fraction(0)] * (degree + 1)
-    binom_row = [Fraction(1)]
-    # (1+u)^k coefficients built incrementally for k = 0..degree
-    powers = []
-    for k in range(degree + 1):
-        powers.append(binom_row[:])
-        binom_row = [Fraction(1)] + [binom_row[i] + binom_row[i + 1] for i in range(len(binom_row) - 1)] + [Fraction(1)]
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        for j, b in enumerate(powers[degree - i]):
-            out[j] += c * b
-    return _sign_changes(out)
-
-
-def _shift_scale(coeffs: list[Fraction], a: Fraction, width: Fraction) -> list[Fraction]:
-    """Coefficients of q(u) = p(a + width * u)."""
-    result = [Fraction(0)]
-    for c in reversed(coeffs):
-        # result(u) = result(u) * (a + width*u) + c
-        new = [Fraction(0)] * (len(result) + 1)
-        for i, r in enumerate(result):
-            new[i] += r * a
-            new[i + 1] += r * width
-        new[0] += c
-        result = new
-    while len(result) > 1 and result[-1] == 0:
-        result.pop()
-    return result
+    degree = max((i for (i,) in terms), default=0)
+    reversed_terms = {(degree - i,): c for (i,), c in terms.items()}
+    signs = [c > 0 for _, c in sorted(substitute_affine(reversed_terms, (1,)).items())]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _isolate_roots(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -549,12 +518,12 @@ def _isolate_roots(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> list[t
     intervals.  Requires p squarefree on the interval.
     """
     results: list[tuple[Fraction, Fraction]] = []
+    terms = {(i,): c for i, c in enumerate(coeffs) if c}
 
     def recurse(a: Fraction, b: Fraction, depth: int):
         if depth > 128:
             raise RuntimeError("root isolation failed to converge; multiple root suspected")
-        local = _shift_scale(coeffs, a, b - a)
-        bound = _descartes_bound_01(local)
+        bound = _descartes_bound_01(substitute_affine(terms, (a,), (b - a,)))
         if bound == 0:
             return
         if bound == 1:

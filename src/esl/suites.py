@@ -116,13 +116,12 @@ def padic_xy() -> list[CheckResult]:
             bound, "exact rational comparison"))
     x = polys.Polynomial.variable(1, 0)
     for d in (2, 3):
-        fit = padic.fit_padic_lct(x**d, 3, 12)
+        fit = padic.fit_padic_lct(padic.ball_ratio_sequence(polys.PolyMap([x**d]), 3, 12))
         ok = fit.slope is not None and abs(fit.slope - 1 / d) <= 0.02
         rows.append(CheckResult(
             "padic-xy", f"valuation-counting fit x^{d} p=3 k<=12",
             ok, f"slope {fit.slope}, expected {1/d:.4f} +/- 0.02"))
-    fit = padic.fit_padic_lct(
-        polys.Polynomial.variable(2, 0) * polys.Polynomial.variable(2, 1), 3, 12)
+    fit = padic.fit_padic_lct(padic.ball_ratio_sequence(xy, 3, 12))
     ok = fit.log_power == 1 and fit.slope is not None and abs(fit.slope - 1.0) <= 0.05
     rows.append(CheckResult(
         "padic-xy", "product map fit detects log factor",

@@ -142,13 +142,6 @@ class FieldValidity(enum.Enum):
     COMPLEX_ONLY = "ComplexOnly"
 
 
-def validity_meet(a: FieldValidity, b: FieldValidity) -> FieldValidity:
-    """Weakest validity of two tags; combining results can only lose generality."""
-    if a is FieldValidity.ALL_LOCAL_FIELDS and b is FieldValidity.ALL_LOCAL_FIELDS:
-        return FieldValidity.ALL_LOCAL_FIELDS
-    return FieldValidity.COMPLEX_ONLY
-
-
 @dataclass(frozen=True)
 class LctValue:
     """A log-canonical threshold together with its field-validity tag."""

@@ -134,12 +134,12 @@ def test_criterion_07_padic_lct_fits():
     x = polys.Polynomial.variable(1, 0)
     details = []
     for d in (2, 3):
-        fit = padic.fit_padic_lct(x**d, 3, 12)
+        fit = padic.fit_padic_lct(padic.ball_ratio_sequence(polys.PolyMap([x**d]), 3, 12))
         assert not fit.sentinel_ge_one
         assert abs(fit.slope - 1 / d) <= 0.02, (d, fit.slope)
         details.append(f"x^{d}: {fit.slope:.4f}")
     xy_poly = polys.Polynomial.variable(2, 0) * polys.Polynomial.variable(2, 1)
-    fit = padic.fit_padic_lct(xy_poly, 3, 12)
+    fit = padic.fit_padic_lct(padic.ball_ratio_sequence(polys.PolyMap([xy_poly]), 3, 12))
     assert fit.log_power == 1, fit
     assert abs(fit.slope - 1.0) <= 0.05, fit.slope
     details.append(f"xy: {fit.slope:.4f} with log power {fit.log_power}")

@@ -111,6 +111,22 @@ class TestRealReport:
         assert payload["eps_estimate"]["infinite"] is True
         assert payload["comparison"]["verdict"] == "PASS"
 
+    def test_weighted_monomial_compared_with_weighted_exponent(self, capsys):
+        # Density |x|^1 under x^4: threshold (1+1)/4, so eps = 1 (not the
+        # unweighted 1/3).
+        code, out, _ = run_cli(capsys, "real", "map{n=1,m=1} f1=x1^4",
+                               "--weights", "1", "--seed", "7")
+        comparison = json.loads(out)["comparison"]
+        assert comparison["exact_eps"] == "1"
+        assert comparison["verdict"] == "PASS"
+        assert code == 0
+
+    def test_weighted_multi_term_has_no_exact_value(self):
+        spec = parse_map_spec("map{n=1,m=1} f1 = x1^2 + x1^3")
+        payload, _ = real_report(spec, samples=150_000, seed=7, bins=150,
+                                 density_weights=[1])
+        assert payload["comparison"] == {"verdict": "NO-EXACT-VALUE"}
+
 
 class TestPadicReport:
     def test_xy_log_explosion(self):

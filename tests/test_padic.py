@@ -154,45 +154,51 @@ class TestMassTable:
 class TestFits:
     def test_power_maps_within_tolerance(self):
         for d in (2, 3):
-            fit = fit_padic_lct(X1**d, 3, 12)
+            fit = fit_padic_lct(ball_ratio_sequence(PolyMap([X1**d]), 3, 12))
             assert not fit.sentinel_ge_one
             assert abs(fit.slope - 1 / d) <= 0.02
             assert fit.log_power == 0
 
     def test_product_map_log_power_detected(self):
-        fit = fit_padic_lct(X2 * Y2, 3, 12)
+        fit = fit_padic_lct(ball_ratio_sequence(XY, 3, 12))
         assert fit.log_power == 1
         assert abs(fit.slope - 1.0) <= 0.05
 
     def test_smooth_sentinel(self):
-        fit = fit_padic_lct(X1, 3, 12)
+        fit = fit_padic_lct(ball_ratio_sequence(IDENT, 3, 12))
         assert fit.sentinel_ge_one
 
     def test_diagonal_sums_match_thom_sebastiani(self):
         # Deep staircase quantization needs a slightly longer run for the
         # quartic case; both slopes land within 0.05 of 1/a + 1/b.
         for (a, b, k_max) in [(3, 3, 12), (4, 4, 16)]:
-            fit = fit_padic_lct(X2**a + Y2**b, 5, k_max)
+            fit = fit_padic_lct(ball_ratio_sequence(PolyMap([X2**a + Y2**b]), 5, k_max))
             assert abs(fit.slope - (1 / a + 1 / b)) <= 0.05
 
 
 class TestEpsClassification:
     def test_product_map_infinite_with_log_explosion(self):
-        est = estimate_eps_padic(XY, 3, 8)
+        est = estimate_eps_padic(ball_ratio_sequence(XY, 3, 8))
         assert est.infinite and est.detail == "polynomial ratio growth"
 
     def test_square_map_exponent_one(self):
-        est = estimate_eps_padic(SQUARE, 3, 12)
+        est = estimate_eps_padic(ball_ratio_sequence(SQUARE, 3, 12))
         assert not est.infinite
         assert est.value == pytest.approx(1.0, abs=0.05)
         assert est.threshold == pytest.approx(0.5, abs=0.02)
 
     def test_identity_constant_ratio(self):
-        est = estimate_eps_padic(IDENT, 3, 8)
+        est = estimate_eps_padic(ball_ratio_sequence(IDENT, 3, 8))
         assert est.infinite and est.detail == "constant ratio"
 
+    def test_fits_need_one_dimensional_target(self):
+        table = ball_ratio_sequence(PolyMap([X2, Y2]), 2, 4)
+        for fit in (fit_padic_lct, estimate_eps_padic):
+            with pytest.raises(ValueError):
+                fit(table)
+
     def test_residuals_reported_on_ambiguity(self):
-        est = estimate_eps_padic(SQUARE, 3, 12)
+        est = estimate_eps_padic(ball_ratio_sequence(SQUARE, 3, 12))
         assert est.residual_exponential >= 0 and est.residual_polynomial >= 0
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from esl.polys import (
     jacobian_minors,
     partial_derivative,
     shift_to_origin,
+    substitute_affine,
 )
 
 
@@ -216,6 +218,61 @@ class TestEvaluateAndShift:
         direct = [c.evaluate([x0[0] + z[0], x0[1] + z[1]]) - c.evaluate(list(x0))
                   for c in pmap.components]
         assert evaluate(shifted, list(z)) == direct
+
+
+def expand_affine(p, shift, scale):
+    """Reference expansion of p(shift + scale*z) by Polynomial * and **."""
+    result = Polynomial.zero(p.n)
+    for exps, coeff in p.terms():
+        term = Polynomial.constant(p.n, coeff)
+        for i, e in enumerate(exps):
+            term = term * (Polynomial.constant(p.n, shift[i]) + scale[i] * var(p.n, i)) ** e
+        result = result + term
+    return result
+
+
+def affine_cases(values):
+    """(n, polynomial, shift, scale) with n <= 3 and entries drawn from values."""
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), polynomials(n),
+        st.tuples(*[values for _ in range(n)]),
+        st.tuples(*[values.filter(lambda v: v != 0) for _ in range(n)])))
+
+
+class TestSubstituteAffine:
+    @given(affine_cases(st.integers(-3, 3)))
+    def test_integer_matches_reference(self, case):
+        n, p, shift, scale = case
+        terms = {e: c.numerator for e, c in p.terms()}
+        got = substitute_affine(terms, shift, scale)
+        assert all(type(c) is int and c != 0 for c in got.values())
+        assert Polynomial(n, got) == expand_affine(Polynomial(n, terms), shift, scale)
+
+    @given(affine_cases(st.fractions(min_value=-2, max_value=2, max_denominator=3)))
+    def test_fraction_matches_reference(self, case):
+        n, p, shift, scale = case
+        got = substitute_affine(dict(p.terms()), shift, scale)
+        assert all(type(c) is Fraction and c != 0 for c in got.values())
+        assert Polynomial(n, got) == expand_affine(p, shift, scale)
+
+    @given(affine_cases(st.integers(-3, 3)))
+    def test_default_scale_is_one(self, case):
+        n, p, shift, _ = case
+        assert Polynomial(n, substitute_affine(dict(p.terms()), shift)) == \
+            expand_affine(p, shift, (1,) * n)
+
+    @given(polynomials(3))
+    def test_zero_shift_keeps_terms(self, p):
+        assert substitute_affine(dict(p.terms()), (0, 0, 0)) == dict(p.terms())
+
+    def test_zero_shift_axis_stays_sparse(self):
+        got = substitute_affine({(7, 5): 1}, (0, 1))
+        assert set(got) == {(7, j) for j in range(6)}
+
+    def test_recenter_high_power(self):
+        shifted = shift_to_origin(PolyMap([var(1, 0) ** 3000]), [1]).components[0]
+        assert len(shifted) == 3000
+        assert all(shifted.coefficient((j,)) == math.comb(3000, j) for j in range(1, 3001))
 
 
 class TestPolyMapInvariants:
