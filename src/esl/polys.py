@@ -406,11 +406,11 @@ def substitute_affine(terms: Mapping[Exponents, Scalar], shift: Sequence[Scalar]
     Each factor (s + c*z)^e expands by the binomial theorem over power
     tables of s and c.  Coefficients stay in the type they come in (int or
     Fraction), zero terms are dropped, and an axis with s = 0 keeps every
-    term a single monomial in that variable.
+    term a single monomial in that variable, at a cost independent of e.
     """
     n = len(shift)
     scale = scale if scale is not None else (1,) * n
-    top = [max((exps[i] for exps in terms), default=0) for i in range(n)]
+    top = [max((exps[i] for exps in terms), default=0) if shift[i] else 0 for i in range(n)]
     shift_powers = [[s**j for j in range(e + 1)] for s, e in zip(shift, top)]
     scale_powers = [[c**j for j in range(e + 1)] for c, e in zip(scale, top)]
     rows: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
@@ -418,6 +418,10 @@ def substitute_affine(terms: Mapping[Exponents, Scalar], shift: Sequence[Scalar]
     def row(axis: int, e: int) -> list[tuple[int, Scalar]]:
         """Nonzero (j, coefficient of z^j) in (s + c*z)^e."""
         if (axis, e) not in rows:
+            if not shift[axis]:
+                power = scale[axis] ** e
+                rows[axis, e] = [(e, power)] if power else []
+                return rows[axis, e]
             s, c = shift_powers[axis], scale_powers[axis]
             entries, binom = [], 1
             for j in range(e + 1):

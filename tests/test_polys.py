@@ -269,6 +269,13 @@ class TestSubstituteAffine:
         got = substitute_affine({(7, 5): 1}, (0, 1))
         assert set(got) == {(7, j) for j in range(6)}
 
+    def test_zero_shift_axis_ignores_exponent_size(self):
+        big = MAX_EXPONENT
+        recentered = shift_to_origin(PolyMap([var(1, 0) ** big]), [0]).components[0]
+        assert dict(recentered.terms()) == {(big,): 1}
+        got = substitute_affine({(big, 2): 3}, (0, 1), (-1, 1))
+        assert got == {(big, 0): -3, (big, 1): -6, (big, 2): -3}
+
     def test_recenter_high_power(self):
         shifted = shift_to_origin(PolyMap([var(1, 0) ** 3000]), [1]).components[0]
         assert len(shifted) == 3000
