@@ -420,14 +420,14 @@ def substitute_affine(terms: Mapping[Exponents, Scalar], shift: Sequence[Scalar]
         if (axis, e) not in rows:
             if not shift[axis]:
                 power = scale[axis] ** e
-                rows[axis, e] = [(e, power)] if power else []
-                return rows[axis, e]
-            s, c = shift_powers[axis], scale_powers[axis]
-            entries, binom = [], 1
-            for j in range(e + 1):
-                if s[e - j] and c[j]:
-                    entries.append((j, binom * s[e - j] * c[j]))
-                binom = binom * (e - j) // (j + 1)  # C(e, j+1)
+                entries = [(e, power)] if power else []
+            else:
+                s, c = shift_powers[axis], scale_powers[axis]
+                entries, binom = [], 1
+                for j in range(e + 1):
+                    if s[e - j] and c[j]:
+                        entries.append((j, binom * s[e - j] * c[j]))
+                    binom = binom * (e - j) // (j + 1)  # C(e, j+1)
             rows[axis, e] = entries
         return rows[axis, e]
 
