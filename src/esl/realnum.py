@@ -9,14 +9,17 @@ equidimensional maps provides an independent cross-check.
 
 Determinism: all sampling is sharded with seeds base_seed + shard_index and
 fixed shard size, so a given SampleConfig always produces a bit-identical
-stream regardless of worker count.
+stream regardless of worker count; a shorter count draws a prefix.  `esl
+real` evaluates one draw; the Fourier estimate reuses its first half plus
+that half's antithetic mirror, with float32 cos/sin of float64-reduced
+phases averaged in float64 (1e-9 from complex128; noise floor 10/sqrt(N)).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,6 +41,10 @@ class CriticalValueError(ValueError):
 
 class GridTooCoarseError(ValueError):
     """Histogram grid cannot support the requested convolution."""
+
+
+class ValueUnderflowError(ValueError):
+    """Pushforward values in the tail window are too small to fit in double precision."""
 
 
 @dataclass(frozen=True)
@@ -239,19 +246,14 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != pmap.n:
         raise ValueError(f"expected points of shape (N, {pmap.n})")
-    out = np.empty((points.shape[0], pmap.m))
+    out = np.zeros((points.shape[0], pmap.m))
     for j, comp in enumerate(pmap.components):
-        term_values = []
         for exps, coeff in comp.terms():
             value = np.full(points.shape[0], float(coeff))
             for axis, e in enumerate(exps):
                 if e:
                     value = value * points[:, axis] ** e
-            term_values.append(value)
-        if term_values:
-            out[:, j] = np.sum(term_values, axis=0)
-        else:
-            out[:, j] = 0.0
+            out[:, j] += value
     return out
 
 
@@ -350,8 +352,14 @@ def fit_tail_exponent(h: Histogram, window: tuple[int, int]) -> ExponentFit:
     left, right = h.edges[i0:i1], h.edges[i0 + 1:i1 + 1]
     occupied = masses > 0
     if int(occupied.sum()) < 8:
-        raise ValueError(f"only {int(occupied.sum())} occupied bins in window; need >= 8")
+        raise ValueError(f"only {int(occupied.sum())} occupied bins in window; "
+                         "need >= 8 (increase --samples)")
     centers = np.sqrt(left * right)[occupied]
+    if centers[0] == 0:
+        raise ValueUnderflowError(
+            f"the pushforward values underflow double precision (tail window down to |y| = "
+            f"{left[occupied][0]:.3g}); lower the map's degree near the base point or use "
+            "`esl exact`")
     dens = (masses / (right - left))[occupied]
     w = masses[occupied]
     log_y = np.log(centers)
@@ -401,18 +409,25 @@ SUPERPOLYNOMIAL_SLOPE = 1.5
 def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     mags = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
-        z = np.exp(1j * t * values)
-        mags[i] = abs(z.mean())
+        phase = t * values
+        phase -= 2 * np.pi * np.rint(phase / (2 * np.pi))
+        # Past 2^53 the reduction leaves phases that overflow float32; clip them.
+        phase = np.clip(phase, -np.pi, np.pi, out=phase).astype(np.float32)
+        mags[i] = math.hypot(np.cos(phase).mean(dtype=np.float64),
+                             np.sin(phase).mean(dtype=np.float64))
     return mags
 
 
 def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[float],
                            functionals: Sequence[Sequence[float]] | None = None,
-                           workers: int = 1) -> FourierDecayFit:
+                           drawn: tuple[np.ndarray, np.ndarray] | None = None) -> FourierDecayFit:
     """Estimate the power-law Fourier-decay exponent of the pushforward.
 
-    The characteristic function is averaged over antithetic sample pairs
-    and the decay exponent is the negative slope of log-magnitude against
+    The characteristic function is averaged over antithetic sample pairs:
+    the first count//2 points of cfg's stream and their mirrors in the box.
+    drawn = (sample_source(cfg), pmap's values on it) reuses a caller's draw,
+    so only the mirror is evaluated; without it the half stream is drawn.
+    The decay exponent is the negative slope of log-magnitude against
     log-frequency on the window where the signal exceeds the Monte Carlo
     noise floor.  For targets of dimension m > 1 a finite family of unit
     functionals must be supplied; the reported exponent is the minimum over
@@ -432,20 +447,19 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
         fits = []
         for ell in functionals:
             composed = _compose_functional(pmap, ell)
-            fits.append(estimate_delta_star_1d(composed, cfg, t_grid, workers=workers))
+            fits.append(estimate_delta_star_1d(composed, cfg, t_grid))
         return min(fits, key=lambda f: f.delta_hat)
 
     half = max(cfg.count // 2, 1)
-    half_cfg = SampleConfig(seed=cfg.seed, count=half, box=cfg.box,
-                            density_weights=cfg.density_weights, smooth_bump=cfg.smooth_bump)
-    base = sample_source(half_cfg, workers=workers)
+    if drawn is None:
+        base = sample_source(replace(cfg, count=half))
+        base_values = evaluate_array(pmap, base)[:, 0]
+    else:
+        base, base_values = drawn[0][:half], drawn[1][:half]
     lo = np.array([float(b[0]) for b in cfg.box])
     hi = np.array([float(b[1]) for b in cfg.box])
     mirrored = lo + hi - base  # antithetic partner within the box
-    values = np.concatenate([
-        evaluate_array(pmap, base)[:, 0],
-        evaluate_array(pmap, mirrored)[:, 0],
-    ])
+    values = np.concatenate([base_values, evaluate_array(pmap, mirrored)[:, 0]])
 
     mags = _char_function_magnitudes(values, t_grid)
     noise_floor = 10.0 / math.sqrt(len(values))

@@ -189,7 +189,8 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
         "density_weights": list(cfg.density_weights) if cfg.density_weights else None,
     }
 
-    values = realnum.sample_pushforward(shifted, cfg, workers=workers)
+    points = realnum.sample_source(cfg, workers=workers)
+    values = realnum.evaluate_array(shifted, points)[:, 0]
     hist = realnum.histogram_log_abs(values, bins=bins)
     window = realnum.auto_tail_window(hist, values)
     fit = realnum.fit_tail_exponent(hist, window)
@@ -199,7 +200,7 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
     eps_est = realnum.estimate_eps_star(fit)
     report["eps_estimate"] = dict(asdict(eps_est), provenance="estimate_eps_star")
 
-    decay = realnum.estimate_delta_star_1d(shifted, cfg, t_grid, workers=workers)
+    decay = realnum.estimate_delta_star_1d(shifted, cfg, t_grid, drawn=(points, values))
     report["delta_estimate"] = dict(asdict(decay), provenance="estimate_delta_star_1d")
 
     if any(cfg.density_weights or ()):

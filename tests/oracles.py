@@ -104,3 +104,8 @@ def tail_power_selfconvolution_slope(exponent: float = -2.0 / 3.0,
         values.append(float(np.trapezoid(f1 * f2, t)))
     slope = np.polyfit(np.log(ys), np.log(values), 1)[0]
     return float(slope)
+
+
+def char_function_magnitudes(values: np.ndarray, t_grid) -> np.ndarray:
+    """|mean(exp(i t y))| per frequency, in complex128."""
+    return np.array([abs(np.exp(1j * t * values).mean()) for t in t_grid])

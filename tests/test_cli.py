@@ -1,10 +1,12 @@
 import csv
 import json
+import warnings
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
+from esl import realnum
 from esl.cli import main
 from esl.mapspec import parse_map_spec
 from esl.report import exact_report, padic_report, real_report, report_schema
@@ -121,6 +123,19 @@ class TestRealReport:
         assert comparison["verdict"] == "PASS"
         assert code == 0
 
+    def test_one_draw_serves_tail_fit_and_decay(self, monkeypatch):
+        calls: dict[str, list[int]] = {"sample_source": [], "evaluate_array": []}
+        for name, rows in calls.items():
+            def spy(*args, _real=getattr(realnum, name), _rows=rows, **kwargs):
+                out = _real(*args, **kwargs)
+                _rows.append(out.shape[0])
+                return out
+            monkeypatch.setattr(realnum, name, spy)
+        spec = parse_map_spec("map{n=2,m=1} f1 = x1^2 + x2^3")
+        real_report(spec, samples=100_000, seed=5, bins=150)
+        assert calls["sample_source"] == [100_000]
+        assert calls["evaluate_array"] == [100_000, 50_000]  # 1.5 rows per sample
+
     def test_weighted_multi_term_has_no_exact_value(self):
         spec = parse_map_spec("map{n=1,m=1} f1 = x1^2 + x1^3")
         payload, _ = real_report(spec, samples=150_000, seed=7, bins=150,
@@ -211,6 +226,24 @@ class TestCommandLine:
         code, _, err = run_cli(capsys, "exact", "map{n=1,m=1} f1 = x1^-1")
         assert code == 2
         assert "line" in err
+
+    def test_underflowing_values_get_a_typed_error(self, capfd):
+        # |x|^400 leaves the tail window below the smallest double; capfd also
+        # sees what LAPACK prints straight to the stderr descriptor.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capfd, "real", "map{n=1,m=1} f1=x1^400",
+                                   "--seed", "1", "--samples", "100000")
+        assert code == 2
+        assert caught == []
+        assert err.startswith("error: the pushforward values underflow double precision")
+        assert err.count("\n") == 1
+
+    def test_too_few_samples_suggests_more(self, capfd):
+        code, _, err = run_cli(capfd, "real", "map{n=1,m=1} f1=x1^2",
+                               "--seed", "1", "--samples", "10")
+        assert code == 2
+        assert "only 0 occupied bins" in err and "--samples" in err
 
     def test_budget_error_surfaces(self, capsys, monkeypatch):
         # A two-dimensional target forces raw enumeration, which the tiny

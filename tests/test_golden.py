@@ -11,6 +11,7 @@ output change, regenerate the files with
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import sys
 import tempfile
@@ -58,8 +59,14 @@ def capture(argv: list[str]) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name):
     for suffix, text in capture(CASES[name]).items():
-        expected = (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8")
-        assert text == expected, f"{name}.{suffix} differs from the golden file"
+        path = GOLDEN / f"{name}.{suffix}"
+        expected = path.read_text(encoding="utf-8")
+        if text != expected:
+            diff = difflib.unified_diff(expected.splitlines(keepends=True),
+                                        text.splitlines(keepends=True),
+                                        fromfile=f"golden/{path.name}", tofile="output")
+            pytest.fail(f"{name}.{suffix} differs from the golden file:\n" + "".join(diff),
+                        pytrace=False)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,21 @@
 import math
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from esl.polys import Polynomial, PolyMap
+from esl.mapspec import parse_map_spec
+from esl.polys import Polynomial, PolyMap, shift_to_origin
 from esl.realnum import (
+    SHARD_SIZE,
     CriticalValueError,
     GridTooCoarseError,
     Histogram,
     SampleConfig,
     ZeroMassBoxError,
+    _char_function_magnitudes,
     auto_tail_window,
     convolution_power,
     density_oracle_equidim_1d,
@@ -26,7 +31,9 @@ from esl.realnum import (
     sample_source,
     small_ball_slope,
 )
+from esl.report import DEFAULT_T_GRID
 from esl.values import ExponentValue
+from .oracles import char_function_magnitudes
 
 SEED = 424242
 X = Polynomial.variable(1, 0)
@@ -45,6 +52,14 @@ class TestSampling:
         a = sample_pushforward(SQUARE, cfg)
         b = sample_pushforward(SQUARE, cfg)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("count", [1, 9, 100_001, 2 * SHARD_SIZE + 3])
+    @pytest.mark.parametrize("weights", [None, (2,)])
+    def test_half_stream_is_a_prefix_of_the_full_one(self, count, weights):
+        cfg = unit_cfg(count, density_weights=weights)
+        half = max(count // 2, 1)
+        full = sample_source(cfg)
+        assert np.array_equal(sample_source(replace(cfg, count=half)), full[:half])
 
     def test_workers_do_not_change_the_stream(self):
         cfg = unit_cfg(700_000)
@@ -235,6 +250,35 @@ class TestFourierDecay:
         with pytest.raises(ValueError):
             estimate_delta_star_1d(pmap, SampleConfig.unit_box(seed=1, count=1000, n=2),
                                    [10.0, 100.0, 1000.0, 10000.0])
+
+
+class TestCharFunctionKernel:
+    @staticmethod
+    def golden_real_values():
+        # The two `real` maps of tests/golden, recentered, with their seeds and counts.
+        for text, seed in [("map{n=2,m=1} f1=x1^2+x2^2", 7),
+                           ("map{n=1,m=1} f1=x1^3-x1 at (1/2)", 11)]:
+            spec = parse_map_spec(text)
+            point = spec.point or (Fraction(0),) * spec.n
+            shifted = shift_to_origin(spec.poly_map(), point)
+            cfg = SampleConfig.unit_box(seed=seed, count=200_000, n=spec.n)
+            yield sample_pushforward(shifted, cfg)
+
+    def test_matches_complex128_reference(self):
+        rng = np.random.default_rng(SEED)
+        spread = np.geomspace(1e-6, 1e3, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        for values in [*self.golden_real_values(), spread]:
+            got = _char_function_magnitudes(values, DEFAULT_T_GRID)
+            want = char_function_magnitudes(values, DEFAULT_T_GRID)
+            assert np.max(np.abs(got - want)) <= 1e-7
+
+    def test_huge_phases_stay_finite(self):
+        values = np.array([1e300, -1e300, 0.0, 3.7e250, 0.0, -2e200, 1e17, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mags = _char_function_magnitudes(values, DEFAULT_T_GRID)
+        assert np.all(np.isfinite(mags))
+        assert np.all((mags >= 0) & (mags <= 1))
 
 
 class TestConvolution:
