@@ -64,9 +64,8 @@ def cmd_exact(args) -> int:
 def cmd_real(args) -> int:
     spec = parse_map_spec(_load_spec_text(args.spec))
     weights = [int(w) for w in args.weights.split(",")] if args.weights else None
-    payload, hist = report.real_report(
-        spec, samples=args.samples, seed=args.seed, bins=args.bins,
-        workers=args.workers, density_weights=weights)
+    payload, hist = report.real_report(spec, samples=args.samples, seed=args.seed,
+                                       bins=args.bins, density_weights=weights)
     _emit_json(payload, args.out)
     if args.csv:
         _write_histogram_csv(args.csv, hist)
@@ -121,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_real.add_argument("--seed", type=int, required=True,
                         help="sampling seed (required for reproducibility)")
     p_real.add_argument("--bins", type=int, default=200)
-    p_real.add_argument("--workers", type=int, default=1)
     p_real.add_argument("--weights", help="comma-separated monomial density exponents")
     p_real.add_argument("--out", help="write the JSON report to this path")
     p_real.add_argument("--csv", help="write the histogram CSV to this path")

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .polys import Polynomial, PolyMap, substitute_affine
+from .realnum import fit_line, fit_log_power
 
 DEFAULT_CELL_BUDGET = 10_000_000
 RECURSION_NODE_BUDGET = 50_000
@@ -341,22 +342,16 @@ def zero_fiber_mass_recursive(poly: Polynomial, p: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-def zero_fiber_mass(poly: Polynomial, p: int, k: int, cell_budget: int | None = None,
-                    method: str = "auto") -> Fraction:
+def zero_fiber_mass(poly: Polynomial, p: int, k: int, cell_budget: int | None = None) -> Fraction:
     """Mass of {f = 0 mod p^k}, choosing the cheapest exact engine."""
-    if method not in ("auto", "valuation", "recursion", "enumerate"):
-        raise ValueError(f"unknown method {method!r}")
     if k == 0:
         return Fraction(1)
-    if method == "valuation" or (method == "auto" and poly.is_single_term):
+    if poly.is_single_term:
         return monomial_zero_mass(poly, p, k)
-    if method in ("auto", "recursion"):
-        try:
-            return zero_fiber_mass_recursive(poly, p, k)
-        except BudgetExceededError:
-            if method == "recursion":
-                raise
-    return cylinder_mass(PolyMap([poly]), p, k, [0], cell_budget)
+    try:
+        return zero_fiber_mass_recursive(poly, p, k)
+    except BudgetExceededError:
+        return cylinder_mass(PolyMap([poly]), p, k, [0], cell_budget)
 
 
 def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | int = 0,
@@ -365,8 +360,12 @@ def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | in
 
     ratio(k) = mass(k) * p^(mk); a bounded sequence certifies bounded
     density at y, polynomial growth in k certifies an infinite
-    integrability exponent with logarithmic blow-up.
+    integrability exponent with logarithmic blow-up.  method "enumerate"
+    counts every depth by direct enumeration, the reference engine; "auto"
+    lets zero_fiber_mass pick one for zero-fibers of one-dimensional maps.
     """
+    if method not in ("auto", "enumerate"):
+        raise ValueError(f"unknown method {method!r}")
     if isinstance(y, int):
         y = [y] * pmap.m
     y = [int(v) for v in y]
@@ -374,7 +373,7 @@ def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | in
     rows = []
     for k in range(k_max + 1):
         if pmap.m == 1 and zero_target and method != "enumerate":
-            mass = zero_fiber_mass(pmap.components[0], p, k, cell_budget, method=method)
+            mass = zero_fiber_mass(pmap.components[0], p, k, cell_budget)
         else:
             mass = cylinder_mass(pmap, p, k, y, cell_budget)
         ratio = mass * Fraction(p) ** (pmap.m * k)
@@ -421,24 +420,6 @@ class PadicEpsEstimate:
     detail: str
 
 
-def _fit_depth_model(depths: np.ndarray, logs: np.ndarray, log_p_of_k: np.ndarray,
-                     powers: Sequence[int]) -> tuple[float, int, dict[int, float]]:
-    """Least squares of logs ~ alpha - c*depth + m*log_p(depth), m fixed per model."""
-    residuals: dict[int, float] = {}
-    best: tuple[float, int, float] | None = None
-    design = np.column_stack([np.ones_like(depths), -depths])
-    for m in powers:
-        target = logs - m * log_p_of_k
-        coeffs, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-        fitted = design @ coeffs
-        ssr = float(np.sum((target - fitted) ** 2))
-        residuals[m] = ssr
-        if best is None or ssr < best[0]:
-            best = (ssr, m, float(coeffs[1]))
-    _, m, slope = best
-    return slope, m, residuals
-
-
 def _one_dim_depth(table: PadicMassTable) -> int:
     if table.m != 1:
         raise ValueError("depth fits are implemented for one-dimensional targets")
@@ -469,9 +450,9 @@ def fit_padic_lct(table: PadicMassTable) -> PadicLctFit:
         (math.log(masses[k].numerator) - math.log(masses[k].denominator)) / math.log(p)
         for k in range(k_lo, k_max + 1)
     ])
-    log_p_of_k = np.log(depths) / math.log(p)
-    slope, m, residuals = _fit_depth_model(depths, logs, log_p_of_k, powers=(0, 1, 2))
-    return PadicLctFit(slope=slope, log_power=m, sentinel_ge_one=False, residuals=residuals)
+    # logs ~ alpha - c*k + m*log_p(k): regress on -k so the slope is c itself.
+    m, fit, residuals = fit_log_power(-depths, logs, np.log(depths) / math.log(p), (0, 1, 2))
+    return PadicLctFit(slope=fit.slope, log_power=m, sentinel_ge_one=False, residuals=residuals)
 
 
 def estimate_eps_padic(table: PadicMassTable) -> PadicEpsEstimate:
@@ -507,14 +488,9 @@ def estimate_eps_padic(table: PadicMassTable) -> PadicEpsEstimate:
             ambiguous=False, detail="mass vanished at finite depth",
         )
 
-    lin_design = np.column_stack([np.ones_like(depths), depths])
-    lin_coeffs, _, _, _ = np.linalg.lstsq(lin_design, logs, rcond=None)
-    ssr_exp = float(np.sum((logs - lin_design @ lin_coeffs) ** 2))
-    log_design = np.column_stack([np.ones_like(depths), np.log(depths)])
-    log_coeffs, _, _, _ = np.linalg.lstsq(log_design, logs, rcond=None)
-    ssr_poly = float(np.sum((logs - log_design @ log_coeffs) ** 2))
-
-    growth = float(lin_coeffs[1])
+    exponential = fit_line(depths, logs)
+    ssr_exp, ssr_poly = exponential.ssr, fit_line(np.log(depths), logs).ssr
+    growth = exponential.slope
     ambiguous = (
         ssr_exp > 0 and ssr_poly > 0
         and max(ssr_exp, ssr_poly) < 2.0 * min(ssr_exp, ssr_poly)

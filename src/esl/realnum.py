@@ -9,16 +9,17 @@ equidimensional maps provides an independent cross-check.
 
 Determinism: all sampling is sharded with seeds base_seed + shard_index and
 fixed shard size, so a given SampleConfig always produces a bit-identical
-stream regardless of worker count; a shorter count draws a prefix.  `esl
-real` evaluates one draw; the Fourier estimate reuses its first half plus
-that half's antithetic mirror, with float32 cos/sin of float64-reduced
-phases averaged in float64 (1e-9 from complex128; noise floor 10/sqrt(N)).
+stream and a shorter count draws a prefix.  `esl real` evaluates one draw;
+the Fourier estimate reuses its first half plus that half's antithetic
+mirror, with float32 cos/sin of float64-reduced phases averaged in float64
+(1e-9 from complex128; noise floor 10/sqrt(N)).  One weighted line fit,
+fit_line, and one log-power selector, fit_log_power, serve every exponent
+fit here and the depth fits in padic.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -230,15 +231,10 @@ def _draw_shard(cfg: SampleConfig, shard_index: int, count: int) -> np.ndarray:
     return np.concatenate(accepted)[:count]
 
 
-def sample_source(cfg: SampleConfig, workers: int = 1) -> np.ndarray:
+def sample_source(cfg: SampleConfig) -> np.ndarray:
     """Deterministic (count, n) array of draws from the configured measure."""
     counts = _shard_counts(cfg.count)
-    if workers > 1 and len(counts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(lambda ic: _draw_shard(cfg, ic[0], ic[1]), enumerate(counts)))
-    else:
-        shards = [_draw_shard(cfg, i, c) for i, c in enumerate(counts)]
-    return np.concatenate(shards)
+    return np.concatenate([_draw_shard(cfg, i, c) for i, c in enumerate(counts)])
 
 
 def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
@@ -257,13 +253,13 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_pushforward(pmap: PolyMap, cfg: SampleConfig, workers: int = 1) -> np.ndarray:
+def sample_pushforward(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
     """I.i.d. pushforward values phi(X); one-dimensional targets only."""
     if pmap.m != 1:
         raise ValueError("pushforward sampling is implemented for one-dimensional targets")
     if len(cfg.box) != pmap.n:
         raise ValueError("box dimension must match the map's source dimension")
-    return evaluate_array(pmap, sample_source(cfg, workers=workers))[:, 0]
+    return evaluate_array(pmap, sample_source(cfg))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,23 +317,57 @@ def auto_tail_window(h: Histogram, values: np.ndarray,
     return i0, i1
 
 
-def _weighted_line_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Weighted least squares y ~ a + b x; returns (a, b, stderr_b, r2, ssr)."""
+@dataclass(frozen=True)
+class LineFit:
+    """Weighted least-squares line y ~ intercept + slope * x.
+
+    stderr is the slope's standard error (infinite for a single point) and
+    ssr the weighted sum of squared residuals.
+    """
+
+    intercept: float
+    slope: float
+    stderr: float
+    r2: float
+    ssr: float
+
+
+def fit_line(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> LineFit:
+    """Weighted least squares y ~ a + b x; unit weights by default."""
+    w = np.ones_like(x) if w is None else w
     sw = np.sqrt(w)
     design = np.column_stack([np.ones_like(x), x])
-    coeffs, _, _, _ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-    a, b = coeffs
+    (a, b), _, _, _ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
     resid = y - (a + b * x)
     ssr = float(np.sum(w * resid**2))
-    dof = max(len(x) - 2, 1)
-    sigma2 = ssr / dof
-    gram = design.T @ (design * w[:, None])
-    cov = sigma2 * np.linalg.inv(gram)
-    stderr_b = float(np.sqrt(max(cov[1, 1], 0.0)))
+    stderr = math.inf
+    if len(x) >= 2:
+        sigma2 = ssr / max(len(x) - 2, 1)
+        cov = sigma2 * np.linalg.inv(design.T @ (design * w[:, None]))
+        stderr = float(np.sqrt(max(cov[1, 1], 0.0)))
     ybar = float(np.sum(w * y) / np.sum(w))
     sst = float(np.sum(w * (y - ybar) ** 2))
     r2 = 1.0 - ssr / sst if sst > 0 else 0.0
-    return float(a), float(b), stderr_b, min(max(r2, 0.0), 1.0), ssr
+    return LineFit(float(a), float(b), stderr, min(max(r2, 0.0), 1.0), ssr)
+
+
+def fit_log_power(x: np.ndarray, y: np.ndarray, log_term: np.ndarray | None,
+                  powers: Sequence[int], w: np.ndarray | None = None
+                  ) -> tuple[int, LineFit, dict[int, float]]:
+    """Power-times-log model y ~ a + b x + m log_term with m fixed to each of powers.
+
+    Returns the m with the smallest weighted SSR (the first on ties), its
+    line fit, and the SSR of every candidate.  log_term is only read for
+    nonzero powers.
+    """
+    residuals: dict[int, float] = {}
+    best: tuple[int, LineFit] | None = None
+    for m in powers:
+        fit = fit_line(x, y - m * log_term if m else y, w)
+        residuals[m] = fit.ssr
+        if best is None or fit.ssr < best[1].ssr:
+            best = (m, fit)
+    return best[0], best[1], residuals
 
 
 def fit_tail_exponent(h: Histogram, window: tuple[int, int]) -> ExponentFit:
@@ -345,7 +375,8 @@ def fit_tail_exponent(h: Histogram, window: tuple[int, int]) -> ExponentFit:
 
     Fits log density against log |y| with the log-power multiplier fixed to
     each of 0, 1, 2 and keeps the power with minimal weighted residual;
-    weights are bin masses.  Requires at least eight occupied bins.
+    weights are bin masses.  Requires at least eight occupied bins whose
+    left edges are normal doubles.
     """
     i0, i1 = window
     masses = h.masses[i0:i1]
@@ -354,28 +385,23 @@ def fit_tail_exponent(h: Histogram, window: tuple[int, int]) -> ExponentFit:
     if int(occupied.sum()) < 8:
         raise ValueError(f"only {int(occupied.sum())} occupied bins in window; "
                          "need >= 8 (increase --samples)")
-    centers = np.sqrt(left * right)[occupied]
-    if centers[0] == 0:
+    tiny = np.finfo(float).tiny
+    if left[occupied][0] < tiny:
         raise ValueUnderflowError(
             f"the pushforward values underflow double precision (tail window down to |y| = "
             f"{left[occupied][0]:.3g}); lower the map's degree near the base point or use "
             "`esl exact`")
+    # Geometric bin centres; split the square root where the product of the
+    # edges leaves the normal doubles.
+    with np.errstate(over="ignore"):
+        product = left * right
+    normal = np.isfinite(product) & (product >= tiny)
+    centers = np.where(normal, np.sqrt(product), np.sqrt(left) * np.sqrt(right))[occupied]
     dens = (masses / (right - left))[occupied]
-    w = masses[occupied]
-    log_y = np.log(centers)
-    log_dens = np.log(dens)
-
-    candidates = [0]
-    if np.all(centers < 1.0):
-        candidates += [1, 2]
-    best = None
-    for m in candidates:
-        adjusted = log_dens - m * np.log(np.log(1.0 / centers)) if m else log_dens
-        a, b, se, r2, ssr = _weighted_line_fit(log_y, adjusted, w)
-        if best is None or ssr < best[0]:
-            best = (ssr, m, b, se, r2)
-    _, m, slope, se, r2 = best
-    return ExponentFit(lambda_hat=slope + 1.0, log_power=m, stderr=se, r2=r2)
+    powers = (0, 1, 2) if np.all(centers < 1.0) else (0,)
+    log_log = np.log(np.log(1.0 / centers)) if len(powers) > 1 else None
+    m, fit, _ = fit_log_power(np.log(centers), np.log(dens), log_log, powers, masses[occupied])
+    return ExponentFit(lambda_hat=fit.slope + 1.0, log_power=m, stderr=fit.stderr, r2=fit.r2)
 
 
 INFINITE_CLASSIFICATION_THRESHOLD = 0.9
@@ -471,10 +497,8 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
             return FourierDecayFit(0.0, 0.0, t_range, flag="insufficient-signal")
         return FourierDecayFit(2.0, 0.0, t_range, flag="superpolynomial")
 
-    x = np.log(t_grid[usable])
-    y = np.log(mags[usable])
-    _, slope, se, _, _ = _weighted_line_fit(x, y, np.ones_like(x))
-    delta = -slope
+    line = fit_line(np.log(t_grid[usable]), np.log(mags[usable]))
+    delta, se = -line.slope, line.stderr
     if delta < 0.05:
         return FourierDecayFit(max(delta, 0.0), se, t_range, flag="non-decaying")
     if delta >= SUPERPOLYNOMIAL_SLOPE:
@@ -728,8 +752,7 @@ def small_ball_slope(values: np.ndarray, quantiles: tuple[float, float] = (0.002
     hi = np.quantile(magnitudes, quantiles[1])
     deltas = np.geomspace(lo, hi, points)
     masses = np.searchsorted(magnitudes, deltas, side="right") / len(magnitudes)
-    _, slope, _, _, _ = _weighted_line_fit(np.log(deltas), np.log(masses), np.ones(points))
-    return float(slope)
+    return fit_line(np.log(deltas), np.log(masses)).slope
 
 
 def distributional_estimate_check(values: np.ndarray, e: ExponentValue,

@@ -142,7 +142,8 @@ def exact_report(spec: MapSpec) -> dict:
 
     if spec.m == 1 and eps_exact is not None:
         if eps_exact.is_infinite:
-            report["delta"] = _field("1", "lct_from_eps", kind="lower")
+            delta = exponents.lct_from_eps(eps_exact)
+            report["delta"] = _field(_ev(delta.value), "lct_from_eps", kind=delta.kind.value)
             notes.append("infinite exponent only pins the decay exponent down to >= 1")
         else:
             report["delta"] = _field(_ev(exponents.delta_from_eps(eps_exact)),
@@ -170,7 +171,7 @@ def _weighted_exact_eps(shifted: polys.PolyMap, weights: Sequence[int]) -> str |
 
 
 def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
-                workers: int = 1, t_grid: Sequence[float] = DEFAULT_T_GRID,
+                t_grid: Sequence[float] = DEFAULT_T_GRID,
                 density_weights: Sequence[int] | None = None) -> tuple[dict, realnum.Histogram]:
     """Monte Carlo report over the reals, with exact-vs-empirical comparison."""
     if spec.m != 1:
@@ -189,7 +190,7 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
         "density_weights": list(cfg.density_weights) if cfg.density_weights else None,
     }
 
-    points = realnum.sample_source(cfg, workers=workers)
+    points = realnum.sample_source(cfg)
     values = realnum.evaluate_array(shifted, points)[:, 0]
     hist = realnum.histogram_log_abs(values, bins=bins)
     window = realnum.auto_tail_window(hist, values)

@@ -201,6 +201,10 @@ class TestCommandLine:
         with pytest.raises(SystemExit):
             main(["real", "map{n=1,m=1} f1 = x1^2", "--samples", "1000"])
 
+    def test_real_has_no_workers_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["real", "map{n=1,m=1} f1 = x1^2", "--seed", "1", "--workers", "2"])
+
     def test_padic_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "mass.csv"
         code, _, _ = run_cli(capsys, "padic", "map{n=2,m=1} f1 = x1*x2",
@@ -227,17 +231,28 @@ class TestCommandLine:
         assert code == 2
         assert "line" in err
 
-    def test_underflowing_values_get_a_typed_error(self, capfd):
-        # |x|^400 leaves the tail window below the smallest double; capfd also
-        # sees what LAPACK prints straight to the stderr descriptor.
+    @pytest.mark.parametrize("spec, underflows", [
+        # Tail window down to |y| = 2.6e-165: the products of bin edges
+        # underflow, the edges themselves are normal doubles.
+        ("map{n=1,m=1} f1=x1^56", False),
+        # Bin edges near 1e300: their products overflow.
+        ("map{n=1,m=1} f1=1" + "0" * 300 + "*x1^2", False),
+        # Tail window below the smallest normal double.
+        ("map{n=1,m=1} f1=x1^400", True),
+    ], ids=["x1^56", "301-digit-coefficient", "x1^400"])
+    def test_tail_window_at_the_ends_of_double_precision(self, capfd, spec, underflows):
+        # capfd also sees what LAPACK prints straight to the stderr descriptor.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, _, err = run_cli(capfd, "real", "map{n=1,m=1} f1=x1^400",
-                                   "--seed", "1", "--samples", "100000")
-        assert code == 2
+            code, out, err = run_cli(capfd, "real", spec, "--seed", "1", "--samples", "100000")
         assert caught == []
-        assert err.startswith("error: the pushforward values underflow double precision")
-        assert err.count("\n") == 1
+        if underflows:
+            assert code == 2
+            assert err.startswith("error: the pushforward values underflow double precision")
+            assert err.count("\n") == 1
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["comparison"]["verdict"] == "PASS"
 
     def test_too_few_samples_suggests_more(self, capfd):
         code, _, err = run_cli(capfd, "real", "map{n=1,m=1} f1=x1^2",

@@ -34,6 +34,7 @@ CASES = {
                                  "-p", "3", "-k", "8"],
     "padic-valuation": ["padic", "map{n=2,m=1} f1=3*x1^2*x2^3", "-p", "3", "-k", "12"],
     "padic-enumeration": ["padic", "map{n=2,m=2} f1=x1*x2 f2=x1^2", "-p", "2", "-k", "4"],
+    "padic-single-depth": ["padic", "map{n=2,m=1} f1=x1*x2", "-p", "3", "-k", "1"],
     "verify-all": ["verify", "all", "--out", OUT],
     "real-sum-of-squares": ["real", "map{n=2,m=1} f1=x1^2+x2^2",
                             "--samples", "200000", "--seed", "7"],

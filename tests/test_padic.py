@@ -87,6 +87,11 @@ class TestClosedFormXY:
         for k, _, ratio in table.rows:
             assert ratio == closed_form_xy_ratio(p, k)
 
+    @pytest.mark.parametrize("method", ["valuation", "recursion"])
+    def test_only_auto_and_enumerate_engines(self, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            ball_ratio_sequence(XY, 3, 2, 0, method=method)
+
     def test_lower_bound_all_small_primes(self):
         for p in (2, 3, 5, 7):
             for k in range(7):

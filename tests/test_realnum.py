@@ -23,6 +23,8 @@ from esl.realnum import (
     estimate_delta_star_1d,
     estimate_eps_star,
     evaluate_array,
+    fit_line,
+    fit_log_power,
     fit_tail_exponent,
     histogram_log_abs,
     histogram_uniform,
@@ -60,11 +62,6 @@ class TestSampling:
         half = max(count // 2, 1)
         full = sample_source(cfg)
         assert np.array_equal(sample_source(replace(cfg, count=half)), full[:half])
-
-    def test_workers_do_not_change_the_stream(self):
-        cfg = unit_cfg(700_000)
-        assert np.array_equal(sample_source(cfg, workers=1),
-                              sample_source(cfg, workers=4))
 
     def test_identity_kolmogorov_distance(self):
         values = sample_pushforward(IDENTITY, unit_cfg(100_000))
@@ -128,6 +125,28 @@ class TestHistogram:
         h = histogram_uniform(np.array([0.1, 0.2, 0.9]), bins=2, lo=0.0, hi=1.0)
         rows = h.to_csv_rows()
         assert len(rows) == 2 and abs(sum(r[2] for r in rows) - 1.0) < 1e-12
+
+
+class TestLineFit:
+    def test_exact_line_and_weights(self):
+        x = np.linspace(-2.0, 3.0, 9)
+        fit = fit_line(x, 1.5 - 0.25 * x, np.arange(1.0, 10.0))
+        assert fit.intercept == pytest.approx(1.5) and fit.slope == pytest.approx(-0.25)
+        assert fit.ssr == pytest.approx(0.0, abs=1e-24) and fit.r2 == pytest.approx(1.0)
+
+    def test_single_point_has_no_slope_error(self):
+        fit = fit_line(np.array([1.0]), np.array([0.5]))
+        assert fit.intercept + fit.slope == pytest.approx(0.5)
+        assert fit.stderr == math.inf and fit.ssr == pytest.approx(0.0, abs=1e-24)
+
+    def test_log_power_selection(self):
+        x = np.linspace(1.0, 8.0, 12)
+        log_term = np.log(x)
+        m, fit, residuals = fit_log_power(x, 2.0 + 0.5 * x + log_term, log_term, (0, 1, 2))
+        assert m == 1 and fit.slope == pytest.approx(0.5)
+        assert sorted(residuals) == [0, 1, 2] and residuals[1] < min(residuals[0], residuals[2])
+        # Power 0 never reads the log term.
+        assert fit_log_power(x, 3.0 * x, None, (0,))[0] == 0
 
 
 class TestTailFit:
