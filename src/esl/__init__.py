@@ -32,9 +32,7 @@ from .lct import (
     Divisor,
     MonomialIdeal,
     ResolutionData,
-    lct_diagonal_sum,
     lct_from_resolution,
-    lct_lower_is_positive_check,
     lct_monomial,
     lct_principal_monomial,
 )
@@ -51,9 +49,7 @@ from .exponents import (
     k_star_bounds_from_lct,
     k_star_upper_from_eps,
     lct_from_eps,
-    reverse_young_check,
     reverse_young_self,
-    thom_sebastiani,
     young_combine,
 )
 from .mapspec import MapSpec, MapSpecError, parse_map_spec

@@ -150,18 +150,6 @@ def reverse_young_self(e: ExponentValue) -> ExponentValue:
     return ExponentValue(e.fraction / (2 + e.fraction))
 
 
-def reverse_young_check(e1: ExponentValue, e2: ExponentValue, e: ExponentValue) -> bool:
-    """Strict reverse-Young comparison on the additive scale.
-
-    True when s(e1) + s(e2) > s(e), i.e. the claimed convolution exponent e
-    is strictly compatible with the factors' exponents.
-    """
-    for value in (e1, e2, e):
-        if not value.is_infinite and value.fraction <= 0:
-            raise ValueError("exponents must be strictly positive")
-    return _young_s(e1) + _young_s(e2) > _young_s(e)
-
-
 def k_star_bounds_from_lct(c: ExponentValue) -> KStarBounds:
     """Bracket for the smoothing convolution power: ceil(1/c) .. floor(1/c)+1.
 
@@ -207,20 +195,6 @@ def eps_from_delta(d: ExponentValue) -> ExponentValue:
         return INF
     d_frac = d.fraction
     return ExponentValue(d_frac / (1 - d_frac))
-
-
-def thom_sebastiani(c1: ExponentValue, c2: ExponentValue) -> BoundedValue:
-    """Threshold of a sum in disjoint variables: c1 + c2, saturating at 1.
-
-    Below 1 the sum is exact; at or above 1 only ">= 1" can be asserted.
-    """
-    for c in (c1, c2):
-        if c.is_infinite or not 0 < c.fraction <= 1:
-            raise ValueError("inputs must lie in (0, 1]")
-    total = c1.fraction + c2.fraction
-    if total < 1:
-        return BoundedValue(ExponentValue(total), BoundKind.EXACT)
-    return BoundedValue(ExponentValue(1), BoundKind.LOWER_BOUND)
 
 
 def consistency_chain_check(lct_grad: ExponentValue, lct_f: ExponentValue) -> bool:

@@ -1,15 +1,13 @@
 """Exact log-canonical thresholds.
 
-Four routes are implemented:
+Three routes are implemented:
 
 * monomial ideals, by exact rational linear programming on the Newton
   polyhedron (Howald's description: the threshold is 1/t* where t* is the
   smallest t with t*(1,...,1) inside conv(generators) + R_{>=0}^n);
 * principal monomials, where the threshold is 1/max_i a_i directly;
 * user-supplied log-resolution data, via min (b_i + 1)/a_i over divisors
-  through the point;
-* diagonal hypersurfaces sum x_i^{d_i}, via Thom-Sebastiani addition,
-  valid over the complex numbers.
+  through the point.
 
 All values are exact rationals (or +infinity for the unit ideal) and carry
 a field-validity tag.  The point of localization is always the origin;
@@ -154,24 +152,3 @@ def lct_from_resolution(data: ResolutionData) -> LctValue:
         raise ValueError("no divisor passes through the point")
     value = min(Fraction(d.b + 1, d.a) for d in through)
     return LctValue(ExponentValue(value), FieldValidity.ALL_LOCAL_FIELDS)
-
-
-def lct_diagonal_sum(degrees: Sequence[int]) -> LctValue:
-    """Threshold at the origin of sum_i x_i^{d_i}: min(1, sum 1/d_i).
-
-    Valid over the complex numbers (Thom-Sebastiani addition of the
-    single-variable thresholds, capped at 1); tagged accordingly.
-    """
-    degrees = [int(d) for d in degrees]
-    if not degrees:
-        raise ValueError("empty degree list")
-    if any(d < 1 for d in degrees):
-        raise ValueError("degrees must be >= 1")
-    total = sum((Fraction(1, d) for d in degrees), Fraction(0))
-    return LctValue(ExponentValue(min(Fraction(1), total)), FieldValidity.COMPLEX_ONLY)
-
-
-def lct_lower_is_positive_check(ideal: MonomialIdeal) -> bool:
-    """Guard invariant: the threshold of a well-formed ideal is > 0."""
-    value = lct_monomial(ideal).value
-    return value.is_infinite or value.fraction > 0

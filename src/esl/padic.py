@@ -1,18 +1,21 @@
 """Exact p-adic pushforward masses by cylinder counting.
 
 Masses of residue cylinders {x : phi(x) = y mod p^k} are exact rationals
-count/p^(nk).  Three engines compute them:
+count/p^(nk).  Three engines compute them, and each returns the whole
+column mass(0), ..., mass(k_max) in one call:
 
-* direct enumeration of (Z/p^k)^n, unconditionally correct, budget-guarded;
+* direct enumeration of (Z/p^k)^n depth by depth, unconditionally correct,
+  budget-guarded: the reference engine;
 * valuation combinatorics for monomial maps (the valuation of c*prod x_i^{a_i}
-  is val(c) + sum a_i v_i with independent geometric-like valuations v_i);
+  is val(c) + sum a_i v_i with independent geometric-like valuations v_i):
+  one convolution capped at k_max, then tail sums;
 * a Hensel-style recursive lift counter for zero-fibers of general
   integer-coefficient polynomials, efficient when the singular locus is
-  small (diagonal sums and the like).
+  small (diagonal sums and the like): one memo shared by all depths.
 
-ball_ratio_sequence is the one place that runs the engines over all depths;
-the depth fits (fit_padic_lct, estimate_eps_padic) both read the table it
-returns, so a report computes each mass once.
+ball_ratio_sequence chooses one engine per table; the depth fits
+(fit_padic_lct, estimate_eps_padic) both read the table it returns, so a
+report computes each mass once.
 
 Conventions: |p|_p = 1/p, the Haar measure of Z_p is 1, and only Q_p itself
 (prime residue fields) is supported.
@@ -65,9 +68,11 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
+def _require_prime_and_depth(p: int, k: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if k < 0:
+        raise ValueError("depth must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -126,63 +131,47 @@ def _integer_coefficient_terms(poly: Polynomial) -> list[tuple[tuple[int, ...], 
 # ---------------------------------------------------------------------------
 
 
-def solution_counts(pmap: PolyMap, p: int, k: int, cell_budget: int | None = None) -> np.ndarray:
-    """Counts of {x in (Z/p^k)^n : phi(x) = y} for every y in (Z/p^k)^m.
-
-    Returns a flat array indexed by y_1 * M^(m-1) + ... + y_m with M = p^k.
-    Exact integer counts; the p^(nk) cells must fit the budget.
-    """
-    _require_prime(p)
-    if k < 0:
-        raise ValueError("depth must be >= 0")
-    budget = cell_budget if cell_budget is not None else default_cell_budget()
-    M = p**k
-    cells = M**pmap.n
+def _count_hits(component_terms, n: int, y: Sequence[int], M: int, budget: int) -> int:
+    """#{x in (Z/M)^n : phi(x) = y mod M}, by vectorized enumeration."""
+    cells = M**n
     if cells > budget:
         raise BudgetExceededError(f"{cells} cells exceed the budget {budget}")
-    if M**pmap.m > budget:
-        raise BudgetExceededError("target residue space exceeds the budget")
     if M > 2**31:
         raise BudgetExceededError("modulus too large for vectorized enumeration")
-
-    component_terms = [_integer_coefficient_terms(comp) for comp in pmap.components]
-    n = pmap.n
-    shape = (M,) * n
-    axis_res = [np.arange(M, dtype=np.int64).reshape(
-        tuple(M if j == i else 1 for j in range(n))) for i in range(n)]
-
-    def eval_component(terms) -> np.ndarray:
-        total = np.zeros(shape, dtype=np.int64)
+    hits = np.True_
+    for terms, target in zip(component_terms, y):
+        # Broadcast over the axes the component uses; the rest stay length 1.
+        total = np.zeros((1,) * n, dtype=np.int64)
         for exps, coeff in terms:
-            contrib = np.full(shape, coeff % M, dtype=np.int64)
+            term = np.full((1,) * n, coeff % M, dtype=np.int64)
             for axis, e in enumerate(exps):
                 if e:
-                    table = np.array([pow(r, e, M) for r in range(M)], dtype=np.int64)
-                    contrib = (contrib * table[axis_res[axis] % M]) % M
-            total = (total + contrib) % M
-        return total
-
-    flat_index = np.zeros(shape, dtype=np.int64)
-    for terms in component_terms:
-        flat_index = flat_index * M + eval_component(terms)
-    counts = np.bincount(flat_index.ravel(), minlength=M**pmap.m)
-    return counts
+                    powers = np.array([pow(r, e, M) for r in range(M)], dtype=np.int64)
+                    term = term * powers.reshape([M if j == axis else 1 for j in range(n)]) % M
+            total = (total + term) % M
+        hits = hits & (total == target % M)
+    return int(np.count_nonzero(hits)) * (cells // np.size(hits))
 
 
-def cylinder_mass(pmap: PolyMap, p: int, k: int, y: Sequence[int] | int,
-                  cell_budget: int | None = None) -> Fraction:
-    """Exact mass of the cylinder {x in Z_p^n : phi(x) = y mod p^k}."""
+def cylinder_mass(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | int,
+                  cell_budget: int | None = None) -> list[Fraction]:
+    """Masses of the cylinders {x in Z_p^n : phi(x) = y mod p^k}, k = 0..k_max.
+
+    The reference engine: it enumerates (Z/p^k)^n afresh at every depth and
+    counts the cells whose image is y mod p^k, so its cost is a geometric
+    series that the deepest row dominates.  Every depth's p^(nk) cells must
+    fit the budget.
+    """
+    _require_prime_and_depth(p, k_max)
     if isinstance(y, int):
         y = [y]
     y = [int(v) for v in y]
     if len(y) != pmap.m:
         raise ValueError(f"target point has dimension {len(y)}, expected {pmap.m}")
-    M = p**k
-    counts = solution_counts(pmap, p, k, cell_budget)
-    index = 0
-    for v in y:
-        index = index * M + (v % M)
-    return Fraction(int(counts[index]), M**pmap.n)
+    budget = cell_budget if cell_budget is not None else default_cell_budget()
+    component_terms = [_integer_coefficient_terms(comp) for comp in pmap.components]
+    return [Fraction(_count_hits(component_terms, pmap.n, y, p**k, budget), p ** (pmap.n * k))
+            for k in range(k_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -201,38 +190,37 @@ def _val_p(value: int, p: int, cap: int) -> int:
     return v
 
 
-def monomial_zero_mass(poly: Polynomial, p: int, k: int) -> Fraction:
-    """Mass of {val(c * prod x_i^{a_i}) >= k} by convolving valuation laws.
+def monomial_zero_mass(poly: Polynomial, p: int, k_max: int) -> list[Fraction]:
+    """Masses of {val(c * prod x_i^{a_i}) >= k} for k = 0..k_max.
 
     Each uniform x in Z_p has P(val = j) = (1 - 1/p) p^-j; the monomial's
-    valuation is val(c) + sum a_i val(x_i).  Sums are capped at k.
+    valuation is val(c) + sum a_i val(x_i).  One convolution of these laws,
+    capped at k_max, gives P(val = s) for every s < k_max, and the masses
+    are its tail sums.
     """
-    _require_prime(p)
-    if k == 0:
-        return Fraction(1)
+    _require_prime_and_depth(p, k_max)
     if not poly.is_single_term:
         raise ValueError("valuation path requires a single-term polynomial")
     [(exps, coeff)] = poly.terms()
     if coeff.denominator != 1:
         raise NonIntegralCoefficientsError(f"coefficient {coeff} is not an integer")
-    start = min(_val_p(coeff.numerator, p, k), k)
-    dist: dict[int, Fraction] = {start: Fraction(1)}
+    # law[s] = P(val = s) for s < k_max; the rest of the mass lies at >= k_max.
+    law = [Fraction(0)] * k_max
+    start = _val_p(coeff.numerator, p, k_max)
+    if start < k_max:
+        law[start] = Fraction(1)
+    unit = Fraction(p - 1, p)
     for a in exps:
         if a == 0:
             continue
-        new: dict[int, Fraction] = {}
-        for s, prob in dist.items():
-            if s >= k:
-                new[k] = new.get(k, Fraction(0)) + prob
-                continue
-            j_cap = -((s - k) // a)  # smallest j with s + a*j >= k
-            for j in range(j_cap):
-                weight = Fraction(p - 1, p ** (j + 1))
-                key = s + a * j
-                new[key] = new.get(key, Fraction(0)) + prob * weight
-            new[k] = new.get(k, Fraction(0)) + prob * Fraction(1, p**j_cap)
-        dist = new
-    return dist.get(k, Fraction(0))
+        # Adding a*v with P(v = j) = unit * p^-j: new[s] = unit*law[s] + new[s-a]/p,
+        # in place since new[s-a] is already written when s is reached.
+        for s in range(k_max):
+            law[s] = unit * law[s] + (law[s - a] / p if s >= a else 0)
+    masses = [Fraction(1)]
+    for prob in law:
+        masses.append(masses[-1] - prob)
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +267,19 @@ def _gradient_unit_mod_p(terms, point, p, n) -> bool:
     return False
 
 
-def zero_fiber_mass_recursive(poly: Polynomial, p: int, k: int,
-                              node_budget: int = RECURSION_NODE_BUDGET) -> Fraction:
-    """Mass of {x in Z_p^n : f(x) = 0 mod p^k} by recursive residue lifting.
+def zero_fiber_mass_recursive(poly: Polynomial, p: int, k_max: int,
+                              node_budget: int = RECURSION_NODE_BUDGET) -> list[Fraction]:
+    """Masses of {x in Z_p^n : f(x) = 0 mod p^k} for k = 0..k_max, by recursive lifting.
 
     Solutions mod p^k reduce mod p to roots of f; around each root r the
     substitution f(r + p z) has coefficient content p^e with e >= 1, so the
     branch contributes p^(n(e-1)) times the count for f(r+pz)/p^e at depth
-    k - e.  Memoized on the reduced polynomial; a node budget guards against
-    wide branching (use enumeration or the valuation path there).
+    k - e.  All depths share one memo on (reduced polynomial, depth).  The
+    node budget holds per depth and counts the nodes that depth adds to the
+    memo; it guards against wide branching (use enumeration or the
+    valuation path there).
     """
-    _require_prime(p)
+    _require_prime_and_depth(p, k_max)
     n = poly.n
     base_terms = {exps: c for exps, c in _integer_coefficient_terms(poly)}
     memo: dict[tuple, int] = {}
@@ -334,24 +324,16 @@ def zero_fiber_mass_recursive(poly: Polynomial, p: int, k: int,
         memo[key] = total
         return total
 
-    return Fraction(count(base_terms, k), p ** (n * k))
+    masses = []
+    for k in range(k_max + 1):
+        nodes = 0
+        masses.append(Fraction(count(base_terms, k), p ** (n * k)))
+    return masses
 
 
 # ---------------------------------------------------------------------------
-# dispatch and mass tables
+# mass tables
 # ---------------------------------------------------------------------------
-
-
-def zero_fiber_mass(poly: Polynomial, p: int, k: int, cell_budget: int | None = None) -> Fraction:
-    """Mass of {f = 0 mod p^k}, choosing the cheapest exact engine."""
-    if k == 0:
-        return Fraction(1)
-    if poly.is_single_term:
-        return monomial_zero_mass(poly, p, k)
-    try:
-        return zero_fiber_mass_recursive(poly, p, k)
-    except BudgetExceededError:
-        return cylinder_mass(PolyMap([poly]), p, k, [0], cell_budget)
 
 
 def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | int = 0,
@@ -360,25 +342,32 @@ def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | in
 
     ratio(k) = mass(k) * p^(mk); a bounded sequence certifies bounded
     density at y, polynomial growth in k certifies an infinite
-    integrability exponent with logarithmic blow-up.  method "enumerate"
-    counts every depth by direct enumeration, the reference engine; "auto"
-    lets zero_fiber_mass pick one for zero-fibers of one-dimensional maps.
+    integrability exponent with logarithmic blow-up.  One engine call
+    returns the whole column.  method "enumerate" counts every depth by
+    direct enumeration, the reference engine; "auto" serves zero-fibers of
+    one-dimensional maps by the valuation engine (monomials) or the
+    recursion engine, and enumerates the whole table instead when some
+    depth exhausts the recursion's node budget.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
     if isinstance(y, int):
         y = [y] * pmap.m
     y = [int(v) for v in y]
-    zero_target = all(v == 0 for v in y)
-    rows = []
-    for k in range(k_max + 1):
-        if pmap.m == 1 and zero_target and method != "enumerate":
-            mass = zero_fiber_mass(pmap.components[0], p, k, cell_budget)
+    masses = None
+    if method == "auto" and pmap.m == 1 and not any(y):
+        [poly] = pmap.components
+        if poly.is_single_term:
+            masses = monomial_zero_mass(poly, p, k_max)
         else:
-            mass = cylinder_mass(pmap, p, k, y, cell_budget)
-        ratio = mass * Fraction(p) ** (pmap.m * k)
-        rows.append((k, mass, ratio))
-    return PadicMassTable(p=p, m=pmap.m, rows=tuple(rows))
+            try:
+                masses = zero_fiber_mass_recursive(poly, p, k_max)
+            except BudgetExceededError:
+                pass
+    if masses is None:
+        masses = cylinder_mass(pmap, p, k_max, y, cell_budget)
+    rows = tuple((k, mass, mass * Fraction(p) ** (pmap.m * k)) for k, mass in enumerate(masses))
+    return PadicMassTable(p=p, m=pmap.m, rows=rows)
 
 
 def closed_form_xy_ratio(p: int, k: int) -> Fraction:
@@ -388,9 +377,7 @@ def closed_form_xy_ratio(p: int, k: int) -> Fraction:
     >= k; grows linearly in the depth, witnessing logarithmic explosion of
     the pushforward density.
     """
-    _require_prime(p)
-    if k < 0:
-        raise ValueError("depth must be >= 0")
+    _require_prime_and_depth(p, k)
     return Fraction(k + 1) - Fraction(k, p)
 
 

@@ -48,6 +48,10 @@ class ValueUnderflowError(ValueError):
     """Pushforward values in the tail window are too small to fit in double precision."""
 
 
+class CoefficientOverflowError(ValueError):
+    """A coefficient of the map is too large for double precision."""
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """Reproducible description of the source measure and sample size.
@@ -245,7 +249,13 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
     out = np.zeros((points.shape[0], pmap.m))
     for j, comp in enumerate(pmap.components):
         for exps, coeff in comp.terms():
-            value = np.full(points.shape[0], float(coeff))
+            try:
+                c = float(coeff)
+            except OverflowError:
+                raise CoefficientOverflowError(
+                    f"a coefficient of f{j + 1} overflows double precision "
+                    f"(|c| > {np.finfo(float).max:.3g})") from None
+            value = np.full(points.shape[0], c)
             for axis, e in enumerate(exps):
                 if e:
                     value = value * points[:, axis] ** e
@@ -434,6 +444,12 @@ SUPERPOLYNOMIAL_SLOPE = 1.5
 
 def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     mags = np.empty(len(t_grid))
+    # Bound |t*y| below the double range, so that neither t*y nor its
+    # reduction overflows; phases that large are unresolvable all the same.
+    # The check allocates nothing, and only such rare values pay for a copy.
+    limit = np.finfo(float).max / (8 * np.max(np.abs(t_grid)))
+    if values.max() > limit or values.min() < -limit:
+        values = np.clip(values, -limit, limit)
     for i, t in enumerate(t_grid):
         phase = t * values
         phase -= 2 * np.pi * np.rint(phase / (2 * np.pi))

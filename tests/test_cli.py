@@ -231,24 +231,30 @@ class TestCommandLine:
         assert code == 2
         assert "line" in err
 
-    @pytest.mark.parametrize("spec, underflows", [
+    @pytest.mark.parametrize("spec, error", [
         # Tail window down to |y| = 2.6e-165: the products of bin edges
         # underflow, the edges themselves are normal doubles.
-        ("map{n=1,m=1} f1=x1^56", False),
+        ("map{n=1,m=1} f1=x1^56", None),
         # Bin edges near 1e300: their products overflow.
-        ("map{n=1,m=1} f1=1" + "0" * 300 + "*x1^2", False),
+        ("map{n=1,m=1} f1=1" + "0" * 300 + "*x1^2", None),
+        # Values near 1e307: t*y overflows in the characteristic function.
+        ("map{n=1,m=1} f1=1" + "0" * 307 + "*x1^2", None),
         # Tail window below the smallest normal double.
-        ("map{n=1,m=1} f1=x1^400", True),
-    ], ids=["x1^56", "301-digit-coefficient", "x1^400"])
-    def test_tail_window_at_the_ends_of_double_precision(self, capfd, spec, underflows):
+        ("map{n=1,m=1} f1=x1^400", "error: the pushforward values underflow double precision"),
+        # A coefficient of 1e310 has no double.
+        ("map{n=1,m=1} f1=1" + "0" * 310 + "*x1^2",
+         "error: a coefficient of f1 overflows double precision"),
+    ], ids=["x1^56", "301-digit-coefficient", "308-digit-coefficient", "x1^400",
+            "311-digit-coefficient"])
+    def test_tail_window_at_the_ends_of_double_precision(self, capfd, spec, error):
         # capfd also sees what LAPACK prints straight to the stderr descriptor.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capfd, "real", spec, "--seed", "1", "--samples", "100000")
         assert caught == []
-        if underflows:
+        if error:
             assert code == 2
-            assert err.startswith("error: the pushforward values underflow double precision")
+            assert err.startswith(error)
             assert err.count("\n") == 1
         else:
             assert (code, err) == (0, "")
@@ -268,3 +274,7 @@ class TestCommandLine:
                                "-p", "5", "-k", "4")
         assert code == 2
         assert "budget" in err
+
+    def test_negative_depth_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "padic", "map{n=1,m=1} f1=x1^2", "-p", "3", "-k", "-1")
+        assert (code, out, err) == (2, "", "error: depth must be >= 0\n")

@@ -16,9 +16,7 @@ from esl.exponents import (
     k_star_bounds_from_lct,
     k_star_upper_from_eps,
     lct_from_eps,
-    reverse_young_check,
     reverse_young_self,
-    thom_sebastiani,
     young_combine,
 )
 from esl.lct import lct_principal_monomial
@@ -225,35 +223,6 @@ class TestReverseYoung:
     def test_at_least_identity_on_grid(self, e):
         assert reverse_young_self(young_combine(ev(e), ev(e))) >= ev(e)
 
-    def test_check_examples(self):
-        assert reverse_young_check(ev(1), ev(1), ev(F(7, 3)))
-        assert not reverse_young_check(ev(F(1, 2)), ev(F(1, 2)), ev(2))
-        assert reverse_young_check(INF, INF, INF)
-
-    @given(st.fractions(min_value=0, max_value=2, max_denominator=12).filter(lambda e: e > 0),
-           st.fractions(min_value=0, max_value=2, max_denominator=12).filter(lambda e: e > 0))
-    def test_tight_at_young_combination(self, a, b):
-        combined = young_combine(ev(a), ev(b))
-        if combined.is_infinite:
-            # Saturated case: strictness holds exactly when the additive
-            # scale overshoots 1 (the combination was clipped).
-            overshoot = a / (1 + a) + b / (1 + b) > 1
-            assert reverse_young_check(ev(a), ev(b), combined) == overshoot
-        else:
-            assert not reverse_young_check(ev(a), ev(b), combined)
-
-    @given(st.fractions(min_value=0, max_value=2, max_denominator=10).filter(lambda e: e > 0),
-           st.fractions(min_value=0, max_value=2, max_denominator=10).filter(lambda e: e > 0),
-           st.fractions(min_value=0, max_value=1, max_denominator=10)
-           .filter(lambda r: 0 < r < 1))
-    def test_strictly_below_young_combination(self, a, b, ratio):
-        combined = young_combine(ev(a), ev(b))
-        smaller = (ev(ratio * combined.fraction) if not combined.is_infinite
-                   else ev(100 * ratio))
-        if smaller.fraction == 0:
-            return
-        assert reverse_young_check(ev(a), ev(b), smaller)
-
 
 class TestKStar:
     def test_bounds_examples(self):
@@ -291,24 +260,6 @@ class TestDeltaConversions:
         assert eps_from_delta(ev(1)).is_infinite
         assert delta_from_eps(ev(F(1, 999))) == ev(F(1, 1000))
         assert delta_from_eps(INF) == ev(1)
-
-
-class TestThomSebastiani:
-    def test_saturates_at_one(self):
-        got = thom_sebastiani(ev(F(1, 2)), ev(F(1, 2)))
-        assert got.value == ev(1) and got.kind is BoundKind.LOWER_BOUND
-
-    def test_exact_below_one(self):
-        got = thom_sebastiani(ev(F(1, 4)), ev(F(1, 4)))
-        assert got.value == ev(F(1, 2)) and got.kind is BoundKind.EXACT
-        got = thom_sebastiani(ev(F(1, 3)), ev(F(1, 3)))
-        assert got.value == ev(F(2, 3))
-
-    def test_inputs_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError):
-            thom_sebastiani(ev(F(3, 2)), ev(F(1, 2)))
-        with pytest.raises(ValueError):
-            thom_sebastiani(ev(0), ev(F(1, 2)))
 
 
 class TestConsistencyChain:

@@ -5,7 +5,9 @@ and the file written by `--out` where the case has one, with the files in
 `tests/golden/`.  Runs with `--weights` are not covered.  After an intended
 output change, regenerate the files with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
+
+which rewrites the named cases only, or every case when no name is given.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ CASES = {
     "padic-valuation": ["padic", "map{n=2,m=1} f1=3*x1^2*x2^3", "-p", "3", "-k", "12"],
     "padic-enumeration": ["padic", "map{n=2,m=2} f1=x1*x2 f2=x1^2", "-p", "2", "-k", "4"],
     "padic-single-depth": ["padic", "map{n=2,m=1} f1=x1*x2", "-p", "3", "-k", "1"],
+    "padic-valuation-deep": ["padic", "map{n=2,m=1} f1=x1*x2", "-p", "3", "-k", "100"],
+    "padic-recursion-deep": ["padic", "map{n=2,m=1} f1=x1^2+x2^2", "-p", "2", "-k", "200"],
     "verify-all": ["verify", "all", "--out", OUT],
     "real-sum-of-squares": ["real", "map{n=2,m=1} f1=x1^2+x2^2",
                             "--samples", "200000", "--seed", "7"],
@@ -71,8 +75,12 @@ def test_output_matches_golden(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        for suffix, text in capture(argv).items():
+    for name in names:
+        for suffix, text in capture(CASES[name]).items():
             (GOLDEN / f"{name}.{suffix}").write_text(text, encoding="utf-8")
     sys.exit(0)

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from esl import padic
 from esl.padic import (
     BudgetExceededError,
     NonIntegralCoefficientsError,
@@ -14,8 +17,6 @@ from esl.padic import (
     fit_padic_lct,
     is_prime,
     monomial_zero_mass,
-    solution_counts,
-    zero_fiber_mass,
     zero_fiber_mass_recursive,
 )
 from esl.polys import Polynomial, PolyMap
@@ -28,40 +29,45 @@ SQUARE = PolyMap([X1 * X1])
 IDENT = PolyMap([X1])
 
 
+def mass_at(pmap, p, k, y):
+    """Enumerated mass of {phi = y mod p^k}: the last entry of its column."""
+    return cylinder_mass(pmap, p, k, y)[k]
+
+
 class TestCylinderMass:
     def test_identity_is_haar(self):
         for p in (2, 3, 5):
             for k in (0, 1, 2):
                 for y in range(p**k):
-                    assert cylinder_mass(IDENT, p, k, [y]) == F(1, p**k)
+                    assert mass_at(IDENT, p, k, [y]) == F(1, p**k)
 
     def test_xy_depth_one(self):
-        assert cylinder_mass(XY, 3, 1, [0]) == F(5, 9)
+        assert mass_at(XY, 3, 1, [0]) == F(5, 9)
 
     def test_square_depth_two(self):
-        assert cylinder_mass(SQUARE, 3, 2, [0]) == F(1, 3)
+        assert cylinder_mass(SQUARE, 3, 2, [0]) == [F(1), F(1, 3), F(1, 3)]
 
     def test_nonzero_target(self):
         # x^2 = 1 mod 3: x in {1, 2}
-        assert cylinder_mass(SQUARE, 3, 1, [1]) == F(2, 3)
+        assert mass_at(SQUARE, 3, 1, [1]) == F(2, 3)
 
     def test_haar_consistency(self):
+        # Summed over every target y, the masses at depth k add up to 1.
         for pmap, p, k in [(XY, 3, 2), (SQUARE, 5, 2), (PolyMap.identity(2), 2, 3)]:
-            counts = solution_counts(pmap, p, k)
-            assert counts.sum() == (p**k) ** pmap.n
+            targets = product(range(p**k), repeat=pmap.m)
+            assert sum(mass_at(pmap, p, k, list(y)) for y in targets) == 1
 
     def test_depth_coherence(self):
         # mass at depth k equals the sum over the p children at depth k+1
         p, k = 3, 1
         for y in range(p**k):
-            parent = cylinder_mass(XY, p, k, [y])
-            children = sum(
-                cylinder_mass(XY, p, k + 1, [y + t * p**k]) for t in range(p))
+            parent = mass_at(XY, p, k, [y])
+            children = sum(mass_at(XY, p, k + 1, [y + t * p**k]) for t in range(p))
             assert parent == children
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            solution_counts(XY, 5, 4, cell_budget=1000)
+            cylinder_mass(XY, 5, 4, [0], cell_budget=1000)
 
     def test_non_integral_coefficients_rejected(self):
         bad = PolyMap([Polynomial.constant(1, F(1, 2)) * X1])
@@ -71,6 +77,15 @@ class TestCylinderMass:
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):
             cylinder_mass(IDENT, 4, 1, [0])
+
+    @pytest.mark.parametrize("engine, source", [
+        (partial(cylinder_mass, y=[0]), SQUARE),
+        (monomial_zero_mass, X1**2),
+        (zero_fiber_mass_recursive, X1**2),
+    ], ids=["enumeration", "valuation", "recursion"])
+    def test_negative_depth_rejected(self, engine, source):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            engine(source, 3, -1)
 
 
 class TestClosedFormXY:
@@ -98,6 +113,22 @@ class TestClosedFormXY:
                 assert closed_form_xy_ratio(p, k) >= F((p - 1) ** 2, p**2) * (k + 1)
 
 
+ENUMERATION_BUDGET = 100_000
+
+
+def enumerable_depth(p: int, n: int) -> int:
+    """Deepest k whose p^(nk) cells fit ENUMERATION_BUDGET."""
+    k = 0
+    while p ** (n * (k + 1)) <= ENUMERATION_BUDGET:
+        k += 1
+    return k
+
+
+def enumerated(poly, p):
+    return cylinder_mass(PolyMap([poly]), p, enumerable_depth(p, poly.n), [0],
+                         cell_budget=ENUMERATION_BUDGET)
+
+
 class TestEngineAgreement:
     CASES = [
         (X2 * Y2, 3),
@@ -111,32 +142,78 @@ class TestEngineAgreement:
 
     @pytest.mark.parametrize("poly,p", CASES)
     def test_recursion_matches_enumeration(self, poly, p):
-        pmap = PolyMap([poly])
-        for k in range(5):
-            assert zero_fiber_mass_recursive(poly, p, k) == \
-                cylinder_mass(pmap, p, k, [0])
+        expected = enumerated(poly, p)
+        assert zero_fiber_mass_recursive(poly, p, len(expected) - 1) == expected
 
     def test_valuation_matches_enumeration(self):
-        for poly, p in [(X2 * Y2, 3), (X2**2 * Y2**3, 2), (4 * X1**2, 2), (X1**5, 3)]:
-            if poly.n == 1:
-                pmap = PolyMap([poly])
-            else:
-                pmap = PolyMap([poly])
-            for k in range(5):
-                assert monomial_zero_mass(poly, p, k) == cylinder_mass(pmap, p, k, [0])
+        for poly, p in [(X2 * Y2, 3), (X2**2 * Y2**3, 2), (4 * X1**2, 2), (X1**5, 3),
+                        (6 * X2 * Y2**2, 3), (Polynomial.constant(1, 9), 3)]:
+            expected = enumerated(poly, p)
+            assert monomial_zero_mass(poly, p, len(expected) - 1) == expected
 
     def test_dispatch_picks_an_exact_engine(self):
         for poly, p in [(X2 * Y2, 3), (X2**3 + Y2**3, 5)]:
-            for k in range(4):
-                assert zero_fiber_mass(poly, p, k) == \
-                    cylinder_mass(PolyMap([poly]), p, k, [0])
+            pmap = PolyMap([poly])
+            assert ball_ratio_sequence(pmap, p, 3) == \
+                ball_ratio_sequence(pmap, p, 3, method="enumerate")
 
     @given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([2, 3, 5]))
     @settings(max_examples=25)
     def test_power_map_valuation_formula(self, d, k, p):
         # mass{val(x^d) >= k} = p^(-ceil(k/d))
         expected = F(1, p ** ((k + d - 1) // d))
-        assert monomial_zero_mass(X1**d, p, k) == expected
+        assert monomial_zero_mass(X1**d, p, k)[k] == expected
+
+    def test_valuation_column_at_large_depth(self):
+        # x*y: mass{val(x) + val(y) >= k} = p^-k (k + 1 - k/p), the closed form
+        # over p^k, for every depth of one deep column.
+        masses = monomial_zero_mass(X2 * Y2, 3, 100)
+        assert masses == [closed_form_xy_ratio(3, k) / 3**k for k in range(101)]
+
+
+def spy_engines(monkeypatch):
+    """Replace the three engines by counting wrappers; returns the call log."""
+    calls = []
+    for name in ("cylinder_mass", "monomial_zero_mass", "zero_fiber_mass_recursive"):
+        def spy(*args, _real=getattr(padic, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(padic, name, spy)
+    return calls
+
+
+class TestOneEngineCallPerTable:
+    @pytest.mark.parametrize("pmap,p,method,engine", [
+        (PolyMap([3 * X2**2 * Y2**3]), 3, "auto", "monomial_zero_mass"),
+        (PolyMap([X2**2 + Y2**2]), 2, "auto", "zero_fiber_mass_recursive"),
+        (PolyMap([X2 * Y2, X2**2]), 2, "auto", "cylinder_mass"),
+        (XY, 3, "enumerate", "cylinder_mass"),
+    ], ids=["valuation", "recursion", "enumeration", "enumerate-method"])
+    def test_one_engine_call(self, monkeypatch, pmap, p, method, engine):
+        calls = spy_engines(monkeypatch)
+        table = ball_ratio_sequence(pmap, p, 4, method=method)
+        assert len(table.rows) == 5
+        assert calls == [engine]
+
+    def test_recursion_over_budget_enumerates_the_whole_table(self, monkeypatch):
+        pmap = PolyMap([X2**3 + Y2**3])
+        expected = ball_ratio_sequence(pmap, 5, 4, method="enumerate")
+        monkeypatch.setattr(padic, "zero_fiber_mass_recursive",
+                            partial(zero_fiber_mass_recursive, node_budget=0))
+        with pytest.raises(BudgetExceededError):
+            padic.zero_fiber_mass_recursive(pmap.components[0], 5, 4)
+        calls = spy_engines(monkeypatch)
+        assert ball_ratio_sequence(pmap, 5, 4) == expected
+        assert calls == ["zero_fiber_mass_recursive", "cylinder_mass"]
+
+    def test_node_budget_counts_what_each_depth_adds(self):
+        # x^2 + y^2 at p = 2: each depth adds at most 2 nodes to the shared
+        # memo, while depth 40 on its own (an empty memo) visits 40 nodes.
+        poly = X2**2 + Y2**2
+        with pytest.raises(BudgetExceededError):
+            zero_fiber_mass_recursive(poly, 2, 40, node_budget=1)
+        assert zero_fiber_mass_recursive(poly, 2, 40, node_budget=2) == \
+            zero_fiber_mass_recursive(poly, 2, 40)
 
 
 class TestMassTable:

@@ -292,7 +292,7 @@ class TestCharFunctionKernel:
             assert np.max(np.abs(got - want)) <= 1e-7
 
     def test_huge_phases_stay_finite(self):
-        values = np.array([1e300, -1e300, 0.0, 3.7e250, 0.0, -2e200, 1e17, 0.5])
+        values = np.array([1e300, -1e300, 0.0, 3.7e250, 0.0, -2e200, 1e17, 0.5, 1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mags = _char_function_magnitudes(values, DEFAULT_T_GRID)
