@@ -113,7 +113,9 @@ class TestClosedFormXY:
                 assert closed_form_xy_ratio(p, k) >= F((p - 1) ** 2, p**2) * (k + 1)
 
 
-ENUMERATION_BUDGET = 100_000
+# 5^8 cells: every case, the two-variable ones at p = 5 included, is
+# enumerated at least to depth 4.
+ENUMERATION_BUDGET = 5**8
 
 
 def enumerable_depth(p: int, n: int) -> int:
@@ -125,8 +127,10 @@ def enumerable_depth(p: int, n: int) -> int:
 
 
 def enumerated(poly, p):
-    return cylinder_mass(PolyMap([poly]), p, enumerable_depth(p, poly.n), [0],
-                         cell_budget=ENUMERATION_BUDGET)
+    masses = cylinder_mass(PolyMap([poly]), p, enumerable_depth(p, poly.n), [0],
+                           cell_budget=ENUMERATION_BUDGET)
+    assert len(masses) >= 5
+    return masses
 
 
 class TestEngineAgreement:
