@@ -2,8 +2,7 @@
 
 Each case runs `esl.cli.main` in-process and compares its standard output,
 and the file written by `--out` where the case has one, with the files in
-`tests/golden/`.  Runs with `--weights` are not covered.  After an intended
-output change, regenerate the files with
+`tests/golden/`.  After an intended output change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
@@ -44,6 +43,8 @@ CASES = {
                             "--samples", "200000", "--seed", "7"],
     "real-cubic-at-point": ["real", "map{n=1,m=1} f1=x1^3-x1 at (1/2)",
                             "--samples", "200000", "--seed", "11"],
+    "real-weighted": ["real", "map{n=1,m=1} f1=x1^4", "--weights", "1",
+                      "--samples", "200000", "--seed", "7"],
 }
 
 
