@@ -22,7 +22,6 @@ from .polys import (
     PolyMap,
     Polynomial,
     as_monomial_ideal,
-    evaluate,
     jacobian_matrix,
     jacobian_minors,
     partial_derivative,

@@ -41,7 +41,7 @@ CELL_BUDGET_ENV = "ESL_CELL_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
-    """The requested computation exceeds the configured cell budget."""
+    """The requested computation exceeds a configured cell or node budget."""
 
 
 class NonIntegralCoefficientsError(ValueError):
@@ -135,7 +135,7 @@ def _count_hits(component_terms, n: int, y: Sequence[int], M: int, budget: int) 
     """#{x in (Z/M)^n : phi(x) = y mod M}, by vectorized enumeration."""
     cells = M**n
     if cells > budget:
-        raise BudgetExceededError(f"{cells} cells exceed the budget {budget}")
+        raise BudgetExceededError(f"{cells} cells exceed the cell budget {budget}")
     if M > 2**31:
         raise BudgetExceededError("modulus too large for vectorized enumeration")
     hits = np.True_
@@ -283,6 +283,7 @@ def zero_fiber_mass_recursive(poly: Polynomial, p: int, k_max: int,
     n = poly.n
     base_terms = {exps: c for exps, c in _integer_coefficient_terms(poly)}
     memo: dict[tuple, int] = {}
+    masses: list[Fraction] = []
     nodes = 0
 
     def count(terms: dict, depth: int) -> int:
@@ -295,7 +296,8 @@ def zero_fiber_mass_recursive(poly: Polynomial, p: int, k_max: int,
             return memo[key]
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError("recursion budget exhausted; branching too wide")
+            raise BudgetExceededError(f"the recursion's node budget {node_budget} ran out "
+                                      f"at depth {len(masses)}")
         reduced = key[0]
         if not reduced:
             result = p ** (n * depth)
@@ -324,7 +326,6 @@ def zero_fiber_mass_recursive(poly: Polynomial, p: int, k_max: int,
         memo[key] = total
         return total
 
-    masses = []
     for k in range(k_max + 1):
         nodes = 0
         masses.append(Fraction(count(base_terms, k), p ** (n * k)))
@@ -347,14 +348,15 @@ def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | in
     direct enumeration, the reference engine; "auto" serves zero-fibers of
     one-dimensional maps by the valuation engine (monomials) or the
     recursion engine, and enumerates the whole table instead when some
-    depth exhausts the recursion's node budget.
+    depth exhausts the recursion's node budget.  When enumeration then
+    exceeds its cell budget too, the error names both budgets.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
     if isinstance(y, int):
         y = [y] * pmap.m
     y = [int(v) for v in y]
-    masses = None
+    masses = recursion_error = None
     if method == "auto" and pmap.m == 1 and not any(y):
         [poly] = pmap.components
         if poly.is_single_term:
@@ -362,10 +364,15 @@ def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | in
         else:
             try:
                 masses = zero_fiber_mass_recursive(poly, p, k_max)
-            except BudgetExceededError:
-                pass
+            except BudgetExceededError as err:
+                recursion_error = err
     if masses is None:
-        masses = cylinder_mass(pmap, p, k_max, y, cell_budget)
+        try:
+            masses = cylinder_mass(pmap, p, k_max, y, cell_budget)
+        except BudgetExceededError as err:
+            if recursion_error is None:
+                raise
+            raise BudgetExceededError(f"{recursion_error}; enumeration: {err}") from err
     rows = tuple((k, mass, mass * Fraction(p) ** (pmap.m * k)) for k, mass in enumerate(masses))
     return PadicMassTable(p=p, m=pmap.m, rows=rows)
 

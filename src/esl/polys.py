@@ -2,14 +2,12 @@
 
 Terms live in a map from exponent vectors to nonzero rational coefficients;
 printing and hashing use the graded-lexicographic order so equal polynomials
-have identical canonical forms.  Everything here is immutable and pure, so
-values can be shared freely across worker threads.
+have identical canonical forms.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -108,10 +106,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._terms)
 
     @property
     def is_single_term(self) -> bool:
@@ -221,18 +215,6 @@ class Polynomial:
             total += value
         return total
 
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        """Floating evaluation; term values are combined with exact summation."""
-        if len(point) != self.n:
-            raise ValueError(f"point has dimension {len(point)}, expected {self.n}")
-        values = []
-        for exps, coeff in self._terms.items():
-            value = float(coeff)
-            for x, e in zip(point, exps):
-                if e:
-                    value *= float(x) ** e
-            values.append(value)
-        return math.fsum(values)
 
     # -- printing -----------------------------------------------------
 
@@ -388,15 +370,6 @@ def as_monomial_ideal(generators: Sequence[Polynomial]) -> MonomialIdeal:
     if not vectors:
         raise NotLocallyDominantError("all minors vanish identically on this chart")
     return MonomialIdeal.from_vectors(n, vectors)
-
-
-def evaluate(pmap: PolyMap, point: Sequence[Scalar]) -> list:
-    """Evaluate the map at a point: exact for rational input, float otherwise."""
-    if len(point) != pmap.n:
-        raise ValueError(f"point has dimension {len(point)}, expected {pmap.n}")
-    if all(isinstance(v, (int, Fraction)) for v in point):
-        return [comp.evaluate(point) for comp in pmap.components]
-    return [comp.evaluate_float([float(v) for v in point]) for comp in pmap.components]
 
 
 def substitute_affine(terms: Mapping[Exponents, Scalar], shift: Sequence[Scalar],

@@ -3,9 +3,8 @@
 Draws samples from monomial-weighted measures on a box, pushes them through
 a polynomial map, and estimates the singularity exponents empirically: the
 tail exponent of the pushforward density (against the power-times-log
-asymptotic model near the critical value), the Fourier-decay exponent, and
-L^q divergence behaviour.  An exact density oracle for univariate
-equidimensional maps provides an independent cross-check.
+asymptotic model near the critical value), the Fourier-decay exponent, the
+small-ball slope, and histogram convolution powers.
 
 Determinism: all sampling is sharded with seeds base_seed + shard_index and
 fixed shard size, so a given SampleConfig always produces a bit-identical
@@ -26,18 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .polys import Polynomial, PolyMap, substitute_affine
-from .values import ExponentValue
+from .polys import PolyMap
 
 SHARD_SIZE = 1 << 18
 
 
 class ZeroMassBoxError(ValueError):
     """The sampling box is degenerate (an axis interval has no length)."""
-
-
-class CriticalValueError(ValueError):
-    """The requested target value is a critical value of the map."""
 
 
 class GridTooCoarseError(ValueError):
@@ -57,16 +51,13 @@ class SampleConfig:
     """Reproducible description of the source measure and sample size.
 
     The base law is uniform on the box, optionally reweighted by the
-    monomial density prod |x_i|^{b_i} (density_weights) and, when
-    smooth_bump is set, by a smooth compactly supported bump profile
-    (useful to validate estimators on maps with smooth pushforwards).
+    monomial density prod |x_i|^{b_i} (density_weights).
     """
 
     seed: int
     count: int
     box: tuple[tuple[Fraction, Fraction], ...]
     density_weights: tuple[int, ...] | None = None
-    smooth_bump: bool = False
 
     def __post_init__(self):
         if self.count < 1:
@@ -172,28 +163,11 @@ class FourierDecayFit:
 # ---------------------------------------------------------------------------
 
 
-def _signed_power_cdf_pair(lo: float, hi: float, b: int) -> tuple[float, float]:
-    """Antiderivative H(t) = sign(t) |t|^(b+1)/(b+1) evaluated at lo and hi."""
-    def H(t: float) -> float:
-        return math.copysign(abs(t) ** (b + 1) / (b + 1), t)
-
-    return H(lo), H(hi)
-
-
 def _inverse_power_cdf(u: np.ndarray, lo: float, hi: float, b: int) -> np.ndarray:
-    h_lo, h_hi = _signed_power_cdf_pair(lo, hi, b)
+    """Inverse CDF of the density ~ |t|^b on [lo, hi], via H(t) = sign(t) |t|^(b+1)/(b+1)."""
+    h_lo, h_hi = (math.copysign(abs(t) ** (b + 1) / (b + 1), t) for t in (lo, hi))
     v = h_lo + u * (h_hi - h_lo)
     return np.sign(v) * (np.abs(v) * (b + 1)) ** (1.0 / (b + 1))
-
-
-def _bump_profile(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    center = 0.5 * (lo + hi)
-    radius = 0.5 * (hi - lo)
-    s = (x - center) / radius
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
-    return out
 
 
 def _shard_counts(total: int) -> list[int]:
@@ -207,32 +181,9 @@ def _draw_shard(cfg: SampleConfig, shard_index: int, count: int) -> np.ndarray:
     rng = np.random.default_rng(cfg.seed + shard_index)
     n = len(cfg.box)
     weights = cfg.density_weights or (0,) * n
-
-    def transform(u: np.ndarray) -> np.ndarray:
-        cols = []
-        for axis in range(n):
-            lo, hi = float(cfg.box[axis][0]), float(cfg.box[axis][1])
-            cols.append(_inverse_power_cdf(u[:, axis], lo, hi, weights[axis]))
-        return np.column_stack(cols)
-
-    if not cfg.smooth_bump:
-        return transform(rng.random((count, n)))
-
-    # Rejection against the bump profile; batch sizes are a deterministic
-    # function of the remaining deficit, so the stream is reproducible.
-    accepted: list[np.ndarray] = []
-    got = 0
-    while got < count:
-        batch = max(4 * (count - got), 1024)
-        x = transform(rng.random((batch, n)))
-        keep = np.ones(batch, dtype=bool)
-        for axis in range(n):
-            lo, hi = float(cfg.box[axis][0]), float(cfg.box[axis][1])
-            keep &= rng.random(batch) < _bump_profile(x[:, axis], lo, hi)
-        x = x[keep]
-        accepted.append(x)
-        got += len(x)
-    return np.concatenate(accepted)[:count]
+    u = rng.random((count, n))
+    return np.column_stack([_inverse_power_cdf(u[:, axis], float(lo), float(hi), weights[axis])
+                            for axis, (lo, hi) in enumerate(cfg.box)])
 
 
 def sample_source(cfg: SampleConfig) -> np.ndarray:
@@ -461,7 +412,6 @@ def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndar
 
 
 def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[float],
-                           functionals: Sequence[Sequence[float]] | None = None,
                            drawn: tuple[np.ndarray, np.ndarray] | None = None) -> FourierDecayFit:
     """Estimate the power-law Fourier-decay exponent of the pushforward.
 
@@ -471,26 +421,20 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
     so only the mirror is evaluated; without it the half stream is drawn.
     The decay exponent is the negative slope of log-magnitude against
     log-frequency on the window where the signal exceeds the Monte Carlo
-    noise floor.  For targets of dimension m > 1 a finite family of unit
-    functionals must be supplied; the reported exponent is the minimum over
-    the family.
+    noise floor.  One-dimensional targets only.
 
     Classification flags: 'superpolynomial' (decay faster than the singular
     power-law regime; delta_hat is reported as the sentinel value 2.0,
-    meaning "at least 2"), 'non-decaying' (flat window), and
-    'insufficient-signal' (all magnitudes at the noise floor).
+    meaning "at least 2"), 'non-decaying' (flat window),
+    'insufficient-signal' (all magnitudes at the noise floor), and
+    'unresolvable' (delta_hat 0: every phase t*y at the lowest frequency is
+    at least 2^53, where doubles no longer resolve it).
     """
+    if pmap.m != 1:
+        raise ValueError("Fourier-decay estimation is implemented for one-dimensional targets")
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if len(t_grid) < 4 or t_grid[0] <= 0:
         raise ValueError("need at least four positive frequencies")
-    if pmap.m > 1:
-        if not functionals:
-            raise ValueError("supply unit functionals for targets of dimension > 1")
-        fits = []
-        for ell in functionals:
-            composed = _compose_functional(pmap, ell)
-            fits.append(estimate_delta_star_1d(composed, cfg, t_grid))
-        return min(fits, key=lambda f: f.delta_hat)
 
     half = max(cfg.count // 2, 1)
     if drawn is None:
@@ -502,11 +446,13 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
     hi = np.array([float(b[1]) for b in cfg.box])
     mirrored = lo + hi - base  # antithetic partner within the box
     values = np.concatenate([base_values, evaluate_array(pmap, mirrored)[:, 0]])
+    t_range = (float(t_grid[0]), float(t_grid[-1]))
+    if np.min(np.abs(values)) >= 2.0**53 / t_grid[0]:
+        return FourierDecayFit(0.0, 0.0, t_range, flag="unresolvable")
 
     mags = _char_function_magnitudes(values, t_grid)
     noise_floor = 10.0 / math.sqrt(len(values))
     usable = mags > noise_floor
-    t_range = (float(t_grid[0]), float(t_grid[-1]))
 
     if int(usable.sum()) < 4:
         if not usable.any():
@@ -522,191 +468,6 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
         # report the smooth-regime sentinel (meaning "at least 2").
         return FourierDecayFit(max(delta, 2.0), se, t_range, flag="superpolynomial")
     return FourierDecayFit(delta, se, t_range)
-
-
-def _compose_functional(pmap: PolyMap, ell: Sequence[float]) -> PolyMap:
-    if len(ell) != pmap.m:
-        raise ValueError("functional length must match target dimension")
-    combined = Polynomial.zero(pmap.n)
-    for coeff, comp in zip(ell, pmap.components):
-        combined = combined + Fraction(coeff).limit_denominator(10**9) * comp
-    return PolyMap([combined])
-
-
-# ---------------------------------------------------------------------------
-# exact density oracle (univariate equidimensional case)
-# ---------------------------------------------------------------------------
-
-
-def _poly_coeff_list(p: Polynomial) -> list[Fraction]:
-    coeffs = [Fraction(0)] * (p.total_degree() + 1)
-    for exps, coeff in p.terms():
-        coeffs[exps[0]] = coeff
-    return coeffs
-
-
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _derivative_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
-    return [c * i for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
-def _descartes_bound_01(terms: dict[tuple[int], Fraction]) -> int:
-    """Upper bound (exact when 0 or 1) on roots in the open interval (0, 1)."""
-    # r(u) = (1+u)^degree * q(1/(1+u)); roots of q in (0,1) <-> roots of r in (0,inf).
-    degree = max((i for (i,) in terms), default=0)
-    reversed_terms = {(degree - i,): c for (i,), c in terms.items()}
-    signs = [c > 0 for _, c in sorted(substitute_affine(reversed_terms, (1,)).items())]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _isolate_roots(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the simple real roots of p in (lo, hi].
-
-    Endpoint roots at subdivision points are returned as degenerate
-    intervals.  Requires p squarefree on the interval.
-    """
-    results: list[tuple[Fraction, Fraction]] = []
-    terms = {(i,): c for i, c in enumerate(coeffs) if c}
-
-    def recurse(a: Fraction, b: Fraction, depth: int):
-        if depth > 128:
-            raise RuntimeError("root isolation failed to converge; multiple root suspected")
-        bound = _descartes_bound_01(substitute_affine(terms, (a,), (b - a,)))
-        if bound == 0:
-            return
-        if bound == 1:
-            results.append((a, b))
-            return
-        mid = (a + b) / 2
-        if _poly_eval(coeffs, mid) == 0:
-            results.append((mid, mid))
-        recurse(a, mid, depth + 1)
-        recurse(mid, b, depth + 1)
-
-    if _poly_eval(coeffs, lo) == 0:
-        results.append((lo, lo))
-    if _poly_eval(coeffs, hi) == 0:
-        results.append((hi, hi))
-    recurse(lo, hi, 0)
-    return sorted(results)
-
-
-def _refine_root(coeffs: list[Fraction], a: Fraction, b: Fraction, tol: float = 1e-12) -> float:
-    if a == b:
-        return float(a)
-    f_a = _poly_eval(coeffs, a)
-    if f_a == 0:
-        return float(a)
-    if _poly_eval(coeffs, b) == 0:
-        return float(b)
-    while float(b - a) > tol:
-        mid = (a + b) / 2
-        f_mid = _poly_eval(coeffs, mid)
-        if f_mid == 0:
-            return float(mid)
-        if (f_a > 0) != (f_mid > 0):
-            b = mid
-        else:
-            a, f_a = mid, f_mid
-    return float((a + b) / 2)
-
-
-def _normalize_coeffs(c: list[Fraction]) -> list[Fraction]:
-    c = c[:]
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    p, q = _normalize_coeffs(p), _normalize_coeffs(q)
-    if q == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
-    rem = p[:]
-    while len(rem) >= len(q) and _normalize_coeffs(rem) != [Fraction(0)]:
-        rem = _normalize_coeffs(rem)
-        if len(rem) < len(q):
-            break
-        factor = rem[-1] / q[-1]
-        shift = len(rem) - len(q)
-        quot[shift] = factor
-        for i, qc in enumerate(q):
-            rem[i + shift] -= factor * qc
-        rem = _normalize_coeffs(rem)
-    return _normalize_coeffs(quot), _normalize_coeffs(rem)
-
-
-def _fraction_gcd_poly(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two univariate rational polynomials (Euclid)."""
-    p, q = _normalize_coeffs(p), _normalize_coeffs(q)
-    while q != [Fraction(0)]:
-        _, r = _poly_divmod(p, q)
-        p, q = q, r
-    if p == [Fraction(0)]:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def _squarefree_part(p: list[Fraction]) -> list[Fraction]:
-    deriv = _derivative_coeffs(p)
-    g = _fraction_gcd_poly(p, deriv)
-    if len(g) <= 1:
-        return _normalize_coeffs(p)
-    quot, _ = _poly_divmod(p, g)
-    return quot
-
-
-def density_oracle_equidim_1d(pmap: PolyMap, y: float | Fraction,
-                              box: tuple[Fraction, Fraction],
-                              density_weight: int = 0) -> float:
-    """Exact-change-of-variables density of the pushforward at a regular value.
-
-    Enumerates the real roots of phi(x) = y inside the box by Descartes
-    isolation plus bisection to 1e-12, and returns the sum of
-    base_density(root)/|phi'(root)|.  Raises CriticalValueError when y is a
-    critical value (the density may be infinite there).
-    """
-    if pmap.n != 1 or pmap.m != 1:
-        raise ValueError("oracle applies to univariate equidimensional maps")
-    y = Fraction(y)
-    lo, hi = Fraction(box[0]), Fraction(box[1])
-    phi = pmap.components[0]
-    shifted = phi - Polynomial.constant(1, y)
-    coeffs = _poly_coeff_list(shifted)
-    deriv = _derivative_coeffs(coeffs)
-
-    gcd = _fraction_gcd_poly(coeffs, deriv)
-    if len(gcd) > 1 and _isolate_roots(_squarefree_part(gcd), lo, hi):
-        raise CriticalValueError(f"{y} is a critical value on the box")
-
-    b = density_weight
-    h_lo, h_hi = _signed_power_cdf_pair(float(lo), float(hi), b)
-    normalization = h_hi - h_lo
-
-    total = 0.0
-    for a, b_iv in _isolate_roots(coeffs, lo, hi):
-        root = _refine_root(coeffs, a, b_iv)
-        slope = abs(_poly_eval_float(deriv, root))
-        if slope < 1e-14:
-            raise CriticalValueError(f"derivative vanishes near root {root}")
-        base_density = (abs(root) ** density_weight) / normalization
-        total += base_density / slope
-    return total
-
-
-def _poly_eval_float(coeffs: list[Fraction], x: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * x + float(c)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +516,7 @@ def convolution_power(h: Histogram, k: int) -> Histogram:
 
 
 # ---------------------------------------------------------------------------
-# distributional checks
+# small-ball mass
 # ---------------------------------------------------------------------------
 
 
@@ -769,42 +530,3 @@ def small_ball_slope(values: np.ndarray, quantiles: tuple[float, float] = (0.002
     deltas = np.geomspace(lo, hi, points)
     masses = np.searchsorted(magnitudes, deltas, side="right") / len(magnitudes)
     return fit_line(np.log(deltas), np.log(masses)).slope
-
-
-def distributional_estimate_check(values: np.ndarray, e: ExponentValue,
-                                  tolerance: float = 0.07) -> bool:
-    """Check the small-ball estimate mass{|y| <= d} <~ d^(1 - 1/(1+e)).
-
-    True when the empirical slope is at least the predicted exponent minus
-    the tolerance.
-    """
-    if e.is_infinite:
-        raise ValueError("pass a large finite proxy instead of infinity")
-    predicted = 1.0 - 1.0 / (1.0 + float(e.fraction))
-    return small_ball_slope(values) >= predicted - tolerance
-
-
-def lq_divergence_scan(h: Histogram, q: float, decades: int = 3, points: int = 7) -> tuple[bool, float]:
-    """Detect divergence of the integral of density^q near the critical value.
-
-    Integrates density^q over |y| >= cutoff for shrinking cutoffs and
-    inspects the increments per cutoff step: for a divergent integral the
-    increments do not die out; for a convergent one they shrink geometrically.
-    Returns (diverges, last_to_first_increment_ratio).
-    """
-    positive = h.masses > 0
-    centers = np.sqrt(h.edges[:-1] * h.edges[1:])
-    dens = h.densities
-    hi = centers[positive].max()
-    lo = max(centers[positive].min(), hi * 10.0 ** (-decades))
-    cutoffs = np.geomspace(hi * 0.5, lo, points)
-    integrals = []
-    for c in cutoffs:
-        mask = positive & (centers >= c)
-        integrals.append(float(np.sum(dens[mask] ** q * h.widths[mask])))
-    increments = np.diff(integrals)
-    increments = increments[increments > 0]
-    if len(increments) < 2:
-        return False, 0.0
-    ratio = float(increments[-1] / increments[0])
-    return ratio > 0.5, ratio

@@ -50,6 +50,12 @@ def _map_echo(spec: MapSpec) -> dict:
     return echo
 
 
+def _recentered(spec: MapSpec) -> polys.PolyMap:
+    """The map shifted so that its base point (default: the origin) sits at 0."""
+    point = spec.point if spec.point is not None else (Fraction(0),) * spec.n
+    return polys.shift_to_origin(spec.poly_map(), point)
+
+
 def exact_report(spec: MapSpec) -> dict:
     """Exact invariants of the map at its base point (default: origin).
 
@@ -62,9 +68,7 @@ def exact_report(spec: MapSpec) -> dict:
     report: dict = {"schema": SCHEMA, "command": "exact", "map": _map_echo(spec), "notes": []}
     notes: list[str] = report["notes"]
 
-    pmap = spec.poly_map()
-    point = spec.point if spec.point is not None else tuple(Fraction(0) for _ in range(spec.n))
-    shifted = polys.shift_to_origin(pmap, point)
+    shifted = _recentered(spec)
     minors = polys.jacobian_minors(shifted)
     report["jacobian_minors"] = [str(p) for p in minors]
 
@@ -178,9 +182,7 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
         raise ValueError("real-field estimation requires a one-dimensional target")
     report: dict = {"schema": SCHEMA, "command": "real", "map": _map_echo(spec), "notes": []}
 
-    pmap = spec.poly_map()
-    point = spec.point if spec.point is not None else tuple(Fraction(0) for _ in range(spec.n))
-    shifted = polys.shift_to_origin(pmap, point)
+    shifted = _recentered(spec)
     cfg = realnum.SampleConfig.unit_box(
         seed=seed, count=samples, n=spec.n,
         density_weights=tuple(density_weights) if density_weights else None)
@@ -230,11 +232,9 @@ def padic_report(spec: MapSpec, p: int, k_max: int,
                  cell_budget: int | None = None) -> tuple[dict, padic.PadicMassTable]:
     """Exact p-adic mass table and exponent fits around the origin."""
     report: dict = {"schema": SCHEMA, "command": "padic", "map": _map_echo(spec), "notes": []}
-    pmap = spec.poly_map()
-    point = spec.point if spec.point is not None else tuple(Fraction(0) for _ in range(spec.n))
-    if any(c.denominator != 1 for c in point):
+    if spec.point is not None and any(c.denominator != 1 for c in spec.point):
         raise ValueError("p-adic analysis needs an integral base point")
-    shifted = polys.shift_to_origin(pmap, point)
+    shifted = _recentered(spec)
 
     table = padic.ball_ratio_sequence(shifted, p, k_max, 0, cell_budget)
     report["mass_table"] = dict(table.to_json_dict(), provenance="ball_ratio_sequence")

@@ -1,8 +1,11 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's own solution paths: the LP oracle
-enumerates basic solutions instead of pivoting, and the integral oracles use
-direct quadrature/series.  Expected values asserted in the tests were
+enumerates basic solutions instead of pivoting, the integral oracles use
+direct quadrature/series, the characteristic function is taken in
+complex128, the density oracle sums change-of-variables terms over exactly
+isolated real roots, and the bump sampler draws a smooth compactly
+supported law by rejection.  Expected values asserted in the tests were
 computed (and are re-checked) with these.
 """
 
@@ -14,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from esl.lct import MonomialIdeal
+from esl.polys import Polynomial, PolyMap, substitute_affine
 
 
 def solve_square_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -109,3 +113,197 @@ def tail_power_selfconvolution_slope(exponent: float = -2.0 / 3.0,
 def char_function_magnitudes(values: np.ndarray, t_grid) -> np.ndarray:
     """|mean(exp(i t y))| per frequency, in complex128."""
     return np.array([abs(np.exp(1j * t * values).mean()) for t in t_grid])
+
+
+# ---------------------------------------------------------------------------
+# exact density oracle (univariate equidimensional case)
+# ---------------------------------------------------------------------------
+
+
+class CriticalValueError(ValueError):
+    """The requested target value is a critical value of the map."""
+
+
+def _poly_coeff_list(p: Polynomial) -> list[Fraction]:
+    coeffs = [Fraction(0)] * (p.total_degree() + 1)
+    for exps, coeff in p.terms():
+        coeffs[exps[0]] = coeff
+    return coeffs
+
+
+def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _derivative_coeffs(coeffs: list[Fraction]) -> list[Fraction]:
+    return [c * i for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
+
+
+def _descartes_bound_01(terms: dict[tuple[int], Fraction]) -> int:
+    """Upper bound (exact when 0 or 1) on roots in the open interval (0, 1)."""
+    # r(u) = (1+u)^degree * q(1/(1+u)); roots of q in (0,1) <-> roots of r in (0,inf).
+    degree = max((i for (i,) in terms), default=0)
+    reversed_terms = {(degree - i,): c for (i,), c in terms.items()}
+    signs = [c > 0 for _, c in sorted(substitute_affine(reversed_terms, (1,)).items())]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _isolate_roots(coeffs: list[Fraction], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals for the simple real roots of p in (lo, hi].
+
+    Endpoint roots at subdivision points are returned as degenerate
+    intervals.  Requires p squarefree on the interval.
+    """
+    results: list[tuple[Fraction, Fraction]] = []
+    terms = {(i,): c for i, c in enumerate(coeffs) if c}
+
+    def recurse(a: Fraction, b: Fraction, depth: int):
+        if depth > 128:
+            raise RuntimeError("root isolation failed to converge; multiple root suspected")
+        bound = _descartes_bound_01(substitute_affine(terms, (a,), (b - a,)))
+        if bound == 0:
+            return
+        if bound == 1:
+            results.append((a, b))
+            return
+        mid = (a + b) / 2
+        if _poly_eval(coeffs, mid) == 0:
+            results.append((mid, mid))
+        recurse(a, mid, depth + 1)
+        recurse(mid, b, depth + 1)
+
+    if _poly_eval(coeffs, lo) == 0:
+        results.append((lo, lo))
+    if _poly_eval(coeffs, hi) == 0:
+        results.append((hi, hi))
+    recurse(lo, hi, 0)
+    return sorted(results)
+
+
+def _refine_root(coeffs: list[Fraction], a: Fraction, b: Fraction, tol: float = 1e-12) -> float:
+    if a == b:
+        return float(a)
+    f_a = _poly_eval(coeffs, a)
+    if f_a == 0:
+        return float(a)
+    if _poly_eval(coeffs, b) == 0:
+        return float(b)
+    while float(b - a) > tol:
+        mid = (a + b) / 2
+        f_mid = _poly_eval(coeffs, mid)
+        if f_mid == 0:
+            return float(mid)
+        if (f_a > 0) != (f_mid > 0):
+            b = mid
+        else:
+            a, f_a = mid, f_mid
+    return float((a + b) / 2)
+
+
+def _normalize_coeffs(c: list[Fraction]) -> list[Fraction]:
+    c = c[:]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_divmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    p, q = _normalize_coeffs(p), _normalize_coeffs(q)
+    if q == [Fraction(0)]:
+        raise ZeroDivisionError("polynomial division by zero")
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
+    rem = p[:]
+    while len(rem) >= len(q) and _normalize_coeffs(rem) != [Fraction(0)]:
+        rem = _normalize_coeffs(rem)
+        if len(rem) < len(q):
+            break
+        factor = rem[-1] / q[-1]
+        shift = len(rem) - len(q)
+        quot[shift] = factor
+        for i, qc in enumerate(q):
+            rem[i + shift] -= factor * qc
+        rem = _normalize_coeffs(rem)
+    return _normalize_coeffs(quot), _normalize_coeffs(rem)
+
+
+def _fraction_gcd_poly(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """Monic gcd of two univariate rational polynomials (Euclid)."""
+    p, q = _normalize_coeffs(p), _normalize_coeffs(q)
+    while q != [Fraction(0)]:
+        _, r = _poly_divmod(p, q)
+        p, q = q, r
+    if p == [Fraction(0)]:
+        return p
+    lead = p[-1]
+    return [c / lead for c in p]
+
+
+def _squarefree_part(p: list[Fraction]) -> list[Fraction]:
+    deriv = _derivative_coeffs(p)
+    g = _fraction_gcd_poly(p, deriv)
+    if len(g) <= 1:
+        return _normalize_coeffs(p)
+    quot, _ = _poly_divmod(p, g)
+    return quot
+
+
+def density_oracle_equidim_1d(pmap: PolyMap, y: float | Fraction,
+                              box: tuple[Fraction, Fraction],
+                              density_weight: int = 0) -> float:
+    """Exact-change-of-variables density of the pushforward at a regular value.
+
+    Enumerates the real roots of phi(x) = y inside the box by Descartes
+    isolation plus bisection to 1e-12, and returns the sum of
+    base_density(root)/|phi'(root)|.  Raises CriticalValueError when y is a
+    critical value (the density may be infinite there).
+    """
+    if pmap.n != 1 or pmap.m != 1:
+        raise ValueError("oracle applies to univariate equidimensional maps")
+    y = Fraction(y)
+    lo, hi = Fraction(box[0]), Fraction(box[1])
+    phi = pmap.components[0]
+    shifted = phi - Polynomial.constant(1, y)
+    coeffs = _poly_coeff_list(shifted)
+    deriv = _derivative_coeffs(coeffs)
+
+    gcd = _fraction_gcd_poly(coeffs, deriv)
+    if len(gcd) > 1 and _isolate_roots(_squarefree_part(gcd), lo, hi):
+        raise CriticalValueError(f"{y} is a critical value on the box")
+
+    # Mass of |x|^b on the box: H(hi) - H(lo) with H(t) = t |t|^b / (b+1).
+    b = density_weight
+    normalization = float((hi * abs(hi) ** b - lo * abs(lo) ** b) / (b + 1))
+
+    total = 0.0
+    for a, b_iv in _isolate_roots(coeffs, lo, hi):
+        root = _refine_root(coeffs, a, b_iv)
+        slope = abs(_poly_eval_float(deriv, root))
+        if slope < 1e-14:
+            raise CriticalValueError(f"derivative vanishes near root {root}")
+        base_density = (abs(root) ** density_weight) / normalization
+        total += base_density / slope
+    return total
+
+
+def _poly_eval_float(coeffs: list[Fraction], x: float) -> float:
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * x + float(c)
+    return total
+
+
+def bump_sample(seed: int, count: int) -> np.ndarray:
+    """(count, 1) draws on [-1, 1] with density proportional to exp(1 - 1/(1 - x^2)).
+
+    Rejection from the uniform law.  The density is smooth with compact
+    support, so its Fourier transform decays faster than any power.
+    """
+    rng = np.random.default_rng(seed)
+    accepted: list[np.ndarray] = []
+    while sum(len(a) for a in accepted) < count:
+        x = rng.uniform(-1.0, 1.0, 2 * count)
+        accepted.append(x[rng.random(x.size) < np.exp(1.0 - 1.0 / (1.0 - x * x))])
+    return np.concatenate(accepted)[:count, None]

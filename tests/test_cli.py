@@ -2,11 +2,12 @@ import csv
 import json
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import jsonschema
 import pytest
 
-from esl import realnum
+from esl import padic, realnum
 from esl.cli import main
 from esl.mapspec import parse_map_spec
 from esl.report import exact_report, padic_report, real_report, report_schema
@@ -260,6 +261,17 @@ class TestCommandLine:
             assert (code, err) == (0, "")
             assert json.loads(out)["comparison"]["verdict"] == "PASS"
 
+    def test_phases_past_double_resolution_are_unresolvable(self, capfd):
+        # |y| >= 2e296 everywhere, so every phase t*y lies past 2^53.
+        code, out, err = run_cli(capfd, "real", "map{n=1,m=1} f1=1" + "0" * 307 + "*x1^2",
+                                 "--seed", "1", "--samples", "100000")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert_valid_report(payload)
+        assert payload["delta_estimate"]["flag"] == "unresolvable"
+        assert payload["delta_estimate"]["delta_hat"] == 0.0
+        assert payload["comparison"]["verdict"] == "PASS"
+
     def test_too_few_samples_suggests_more(self, capfd):
         code, _, err = run_cli(capfd, "real", "map{n=1,m=1} f1=x1^2",
                                "--seed", "1", "--samples", "10")
@@ -274,6 +286,15 @@ class TestCommandLine:
                                "-p", "5", "-k", "4")
         assert code == 2
         assert "budget" in err
+
+    def test_budget_error_names_every_budget_that_fired(self, capsys, monkeypatch):
+        monkeypatch.setattr(padic, "zero_fiber_mass_recursive",
+                            partial(padic.zero_fiber_mass_recursive, node_budget=0))
+        code, out, err = run_cli(capsys, "padic", "map{n=2,m=1} f1=x1^2+x2^3",
+                                 "-p", "5", "-k", "4", "--cell-budget", "1000")
+        assert (code, out) == (2, "")
+        assert err == ("error: the recursion's node budget 0 ran out at depth 1; "
+                       "enumeration: 15625 cells exceed the cell budget 1000\n")
 
     def test_negative_depth_is_rejected(self, capsys):
         code, out, err = run_cli(capsys, "padic", "map{n=1,m=1} f1=x1^2", "-p", "3", "-k", "-1")

@@ -10,7 +10,6 @@ from esl.mapspec import parse_map_spec
 from esl.polys import Polynomial, PolyMap, shift_to_origin
 from esl.realnum import (
     SHARD_SIZE,
-    CriticalValueError,
     GridTooCoarseError,
     Histogram,
     SampleConfig,
@@ -18,8 +17,6 @@ from esl.realnum import (
     _char_function_magnitudes,
     auto_tail_window,
     convolution_power,
-    density_oracle_equidim_1d,
-    distributional_estimate_check,
     estimate_delta_star_1d,
     estimate_eps_star,
     evaluate_array,
@@ -28,14 +25,17 @@ from esl.realnum import (
     fit_tail_exponent,
     histogram_log_abs,
     histogram_uniform,
-    lq_divergence_scan,
     sample_pushforward,
     sample_source,
     small_ball_slope,
 )
 from esl.report import DEFAULT_T_GRID
-from esl.values import ExponentValue
-from .oracles import char_function_magnitudes
+from .oracles import (
+    CriticalValueError,
+    bump_sample,
+    char_function_magnitudes,
+    density_oracle_equidim_1d,
+)
 
 SEED = 424242
 X = Polynomial.variable(1, 0)
@@ -250,21 +250,13 @@ class TestFourierDecay:
         assert 0.26 <= fit.delta_hat <= 0.41
 
     def test_smooth_bump_classified_superpolynomial(self):
-        fit = estimate_delta_star_1d(IDENTITY, unit_cfg(400_000, smooth_bump=True),
-                                     np.geomspace(3, 100, 12))
+        points = bump_sample(SEED, 400_000)
+        fit = estimate_delta_star_1d(IDENTITY, unit_cfg(400_000), np.geomspace(3, 100, 12),
+                                     drawn=(points, points[:, 0]))
         assert fit.flag == "superpolynomial"
         assert fit.delta_hat >= 2.0
 
-    def test_functional_reduction_for_planar_target(self):
-        pmap = PolyMap([Polynomial.variable(2, 0),
-                        Polynomial.variable(2, 1) ** 2])
-        cfg = SampleConfig.unit_box(seed=SEED, count=300_000, n=2)
-        fit = estimate_delta_star_1d(pmap, cfg, np.geomspace(10, 2000, 12),
-                                     functionals=[(1.0, 0.0), (0.0, 1.0)])
-        # worst direction is the squared coordinate: decay ~ t^(-1/2)
-        assert 0.35 <= fit.delta_hat <= 0.65
-
-    def test_functionals_required_for_wide_targets(self):
+    def test_wide_targets_rejected(self):
         pmap = PolyMap.identity(2)
         with pytest.raises(ValueError):
             estimate_delta_star_1d(pmap, SampleConfig.unit_box(seed=1, count=1000, n=2),
@@ -349,42 +341,10 @@ class TestConvolution:
         assert np.array_equal(same.masses, h.masses)
 
 
-class TestDistributionalEstimate:
-    def test_square_passes_at_true_exponent(self):
-        values = sample_pushforward(SQUARE, unit_cfg(400_000))
-        assert distributional_estimate_check(values, ExponentValue(1))
-
-    def test_identity_with_large_proxy(self):
+class TestSmallBallSlope:
+    def test_identity_slope_is_one(self):
         values = sample_pushforward(IDENTITY, unit_cfg(400_000))
-        assert distributional_estimate_check(values, ExponentValue(1000))
         assert abs(small_ball_slope(values) - 1.0) < 0.05
-
-    def test_cube_fails_overstated_exponent(self):
-        values = sample_pushforward(CUBE, unit_cfg(400_000))
-        assert not distributional_estimate_check(values, ExponentValue(2))
-
-    def test_infinite_exponent_rejected(self):
-        from esl.values import INF
-        with pytest.raises(ValueError):
-            distributional_estimate_check(np.array([1.0]), INF)
-
-
-class TestLqScan:
-    def test_divergence_exactly_at_the_exponent(self):
-        values = sample_pushforward(SQUARE, unit_cfg(1_000_000))
-        h = histogram_log_abs(values, bins=300)
-        diverges_at, _ = lq_divergence_scan(h, 2.0)
-        converges_below, _ = lq_divergence_scan(h, 1.5)
-        assert diverges_at
-        assert not converges_below
-
-    def test_cube_map_divergence_at_its_exponent(self):
-        values = sample_pushforward(CUBE, unit_cfg(1_000_000))
-        h = histogram_log_abs(values, bins=300)
-        diverges_at, _ = lq_divergence_scan(h, 1.5)  # 1 + eps with eps = 1/2
-        converges_below, _ = lq_divergence_scan(h, 1.2)
-        assert diverges_at
-        assert not converges_below
 
 
 class TestEpsDeltaConsistency:
