@@ -73,6 +73,8 @@ def cmd_real(args) -> int:
 
 
 def cmd_padic(args) -> int:
+    if args.cell_budget is not None and args.cell_budget < 1:
+        raise ValueError(f"--cell-budget must be an integer >= 1, got {args.cell_budget}")
     spec = parse_map_spec(_load_spec_text(args.spec))
     payload, table = report.padic_report(spec, p=args.p, k_max=args.k,
                                          cell_budget=args.cell_budget)

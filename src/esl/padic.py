@@ -4,8 +4,8 @@ Masses of residue cylinders {x : phi(x) = y mod p^k} are exact rationals
 count/p^(nk).  Three engines compute them, and each returns the whole
 column mass(0), ..., mass(k_max) in one call:
 
-* direct enumeration of (Z/p^k)^n depth by depth, unconditionally correct,
-  budget-guarded: the reference engine;
+* enumeration that lifts the solutions mod p^(j-1) to those mod p^j, one
+  pass for every depth: unconditionally correct, budget-guarded, any map;
 * valuation combinatorics for monomial maps (the valuation of c*prod x_i^{a_i}
   is val(c) + sum a_i v_i with independent geometric-like valuations v_i):
   one convolution capped at k_max, then tail sums;
@@ -49,10 +49,10 @@ class NonIntegralCoefficientsError(ValueError):
 
 
 def default_cell_budget() -> int:
-    raw = os.environ.get(CELL_BUDGET_ENV)
-    if raw:
-        return int(raw)
-    return DEFAULT_CELL_BUDGET
+    raw = os.environ.get(CELL_BUDGET_ENV) or str(DEFAULT_CELL_BUDGET)
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"{CELL_BUDGET_ENV} must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def is_prime(p: int) -> bool:
@@ -131,36 +131,23 @@ def _integer_coefficient_terms(poly: Polynomial) -> list[tuple[tuple[int, ...], 
 # ---------------------------------------------------------------------------
 
 
-def _count_hits(component_terms, n: int, y: Sequence[int], M: int, budget: int) -> int:
-    """#{x in (Z/M)^n : phi(x) = y mod M}, by vectorized enumeration."""
-    cells = M**n
-    if cells > budget:
-        raise BudgetExceededError(f"{cells} cells exceed the cell budget {budget}")
-    if M > 2**31:
-        raise BudgetExceededError("modulus too large for vectorized enumeration")
-    hits = np.True_
-    for terms, target in zip(component_terms, y):
-        # Broadcast over the axes the component uses; the rest stay length 1.
-        total = np.zeros((1,) * n, dtype=np.int64)
-        for exps, coeff in terms:
-            term = np.full((1,) * n, coeff % M, dtype=np.int64)
-            for axis, e in enumerate(exps):
-                if e:
-                    powers = np.array([pow(r, e, M) for r in range(M)], dtype=np.int64)
-                    term = term * powers.reshape([M if j == axis else 1 for j in range(n)]) % M
-            total = (total + term) % M
-        hits = hits & (total == target % M)
-    return int(np.count_nonzero(hits)) * (cells // np.size(hits))
+def _power_mod(x: np.ndarray, e: int, modulus: int) -> np.ndarray:
+    """x^e mod modulus by squaring; entries below 2^31 keep every product in int64."""
+    if e == 1:
+        return x
+    half = _power_mod(x * x % modulus, e // 2, modulus)
+    return half * x % modulus if e % 2 else half
 
 
 def cylinder_mass(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | int,
                   cell_budget: int | None = None) -> list[Fraction]:
     """Masses of the cylinders {x in Z_p^n : phi(x) = y mod p^k}, k = 0..k_max.
 
-    The reference engine: it enumerates (Z/p^k)^n afresh at every depth and
-    counts the cells whose image is y mod p^k, so its cost is a geometric
-    series that the deepest row dominates.  Every depth's p^(nk) cells must
-    fit the budget.
+    One lifting pass serves every map: a solution mod p^j reduces to one mod
+    p^(j-1), so from S_0 = {0} the solutions S_j are the lifts x + p^(j-1) d,
+    d in (Z/p)^u, of S_(j-1) that phi sends to y mod p^j.  Only the u axes
+    some term uses are lifted, so mass(j) = |S_j| p^((n-u)j) / p^(nj).  Each
+    depth's p^(nj) cells must fit the budget.
     """
     _require_prime_and_depth(p, k_max)
     if isinstance(y, int):
@@ -170,8 +157,35 @@ def cylinder_mass(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | int,
         raise ValueError(f"target point has dimension {len(y)}, expected {pmap.m}")
     budget = cell_budget if cell_budget is not None else default_cell_budget()
     component_terms = [_integer_coefficient_terms(comp) for comp in pmap.components]
-    return [Fraction(_count_hits(component_terms, pmap.n, y, p**k, budget), p ** (pmap.n * k))
-            for k in range(k_max + 1)]
+    n, M = pmap.n, p**k_max
+    for k in range(k_max + 1):
+        if p ** (n * k) > budget:
+            raise BudgetExceededError(f"{p ** (n * k)} cells exceed the cell budget {budget}")
+        if p**k > 2**31:
+            raise BudgetExceededError("modulus too large for vectorized enumeration")
+    factors = {(a, e) for terms in component_terms for exps, _ in terms
+               for a, e in enumerate(exps) if e}
+    used = sorted({a for a, _ in factors})
+    digits = np.indices((p,) * len(used)).reshape(len(used), p ** len(used))
+    points = {a: np.zeros(1, dtype=np.int64) for a in used}
+    masses = [Fraction(1)]
+    for j in range(1, k_max + 1):
+        points = {a: (x[:, None] + p ** (j - 1) * d).ravel()
+                  for (a, x), d in zip(points.items(), digits)}
+        powers = {(a, e): _power_mod(points[a], e, M) for a, e in factors}
+        hits = np.True_  # an array once some term uses a lifted axis
+        for terms, target in zip(component_terms, y):
+            total = 0
+            for exps, coeff in terms:
+                term = coeff % M
+                for a, e in enumerate(exps):
+                    if e:
+                        term = term * powers[a, e] % M
+                total = total + term
+            hits = hits & (total % p**j == target % p**j)
+        points = {a: x[hits] for a, x in points.items()}
+        masses.append(Fraction(np.count_nonzero(hits) * p ** ((n - len(used)) * j), p ** (n * j)))
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +359,7 @@ def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | in
     density at y, polynomial growth in k certifies an infinite
     integrability exponent with logarithmic blow-up.  One engine call
     returns the whole column.  method "enumerate" counts every depth by
-    direct enumeration, the reference engine; "auto" serves zero-fibers of
+    one lifting pass of cylinder_mass; "auto" serves zero-fibers of
     one-dimensional maps by the valuation engine (monomials) or the
     recursion engine, and enumerates the whole table instead when some
     depth exhausts the recursion's node budget.  When enumeration then

@@ -65,10 +65,14 @@ def exact_report(spec: MapSpec) -> dict:
     one-dimensional cases, two-sided bounds otherwise), the convolution
     bracket, and the Fourier-decay exponent.
     """
+    return _exact_report(spec, _recentered(spec))
+
+
+def _exact_report(spec: MapSpec, shifted: polys.PolyMap) -> dict:
+    """exact_report of the map already shifted to its base point."""
     report: dict = {"schema": SCHEMA, "command": "exact", "map": _map_echo(spec), "notes": []}
     notes: list[str] = report["notes"]
 
-    shifted = _recentered(spec)
     minors = polys.jacobian_minors(shifted)
     report["jacobian_minors"] = [str(p) for p in minors]
 
@@ -209,7 +213,7 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
     if any(cfg.density_weights or ()):
         exact_eps = _weighted_exact_eps(shifted, cfg.density_weights)
     else:
-        exact_eps = exact_report(spec).get("eps", {}).get("exact", {}).get("value")
+        exact_eps = _exact_report(spec, shifted).get("eps", {}).get("exact", {}).get("value")
     comparison: dict = {}
     if exact_eps is not None:
         comparison["exact_eps"] = exact_eps

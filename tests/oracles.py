@@ -4,9 +4,11 @@ These deliberately avoid the library's own solution paths: the LP oracle
 enumerates basic solutions instead of pivoting, the integral oracles use
 direct quadrature/series, the characteristic function is taken in
 complex128, the density oracle sums change-of-variables terms over exactly
-isolated real roots, and the bump sampler draws a smooth compactly
-supported law by rejection.  Expected values asserted in the tests were
-computed (and are re-checked) with these.
+isolated real roots, the bump sampler draws a smooth compactly supported
+law by rejection, and the cylinder oracle enumerates all of (Z/p^k)^n
+afresh at every depth instead of lifting the solutions of the depth above.
+Expected values asserted in the tests were computed (and are re-checked)
+with these.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from esl.lct import MonomialIdeal
+from esl.padic import BudgetExceededError, _integer_coefficient_terms
 from esl.polys import Polynomial, PolyMap, substitute_affine
 
 
@@ -307,3 +310,40 @@ def bump_sample(seed: int, count: int) -> np.ndarray:
         x = rng.uniform(-1.0, 1.0, 2 * count)
         accepted.append(x[rng.random(x.size) < np.exp(1.0 - 1.0 / (1.0 - x * x))])
     return np.concatenate(accepted)[:count, None]
+
+
+# ---------------------------------------------------------------------------
+# cylinder masses by enumeration depth by depth
+# ---------------------------------------------------------------------------
+
+
+def _count_hits(component_terms, n: int, y, M: int, budget: int) -> int:
+    """#{x in (Z/M)^n : phi(x) = y mod M}, by vectorized enumeration."""
+    cells = M**n
+    if cells > budget:
+        raise BudgetExceededError(f"{cells} cells exceed the cell budget {budget}")
+    if M > 2**31:
+        raise BudgetExceededError("modulus too large for vectorized enumeration")
+    hits = np.True_
+    for terms, target in zip(component_terms, y):
+        # Broadcast over the axes the component uses; the rest stay length 1.
+        total = np.zeros((1,) * n, dtype=np.int64)
+        for exps, coeff in terms:
+            term = np.full((1,) * n, coeff % M, dtype=np.int64)
+            for axis, e in enumerate(exps):
+                if e:
+                    powers = np.array([pow(r, e, M) for r in range(M)], dtype=np.int64)
+                    term = term * powers.reshape([M if j == axis else 1 for j in range(n)]) % M
+            total = (total + term) % M
+        hits = hits & (total == target % M)
+    return int(np.count_nonzero(hits)) * (cells // np.size(hits))
+
+
+def enumerated_cylinder_mass(pmap: PolyMap, p: int, k_max: int, y: list[int],
+                             budget: int) -> list[Fraction]:
+    """Masses of {x in Z_p^n : phi(x) = y mod p^k}, k = 0..k_max, with
+    (Z/p^k)^n enumerated afresh at every depth; each depth's p^(nk) cells
+    must fit the budget."""
+    component_terms = [_integer_coefficient_terms(comp) for comp in pmap.components]
+    return [Fraction(_count_hits(component_terms, pmap.n, y, p**k, budget), p ** (pmap.n * k))
+            for k in range(k_max + 1)]

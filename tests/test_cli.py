@@ -7,7 +7,7 @@ from functools import partial
 import jsonschema
 import pytest
 
-from esl import padic, realnum
+from esl import padic, polys, realnum
 from esl.cli import main
 from esl.mapspec import parse_map_spec
 from esl.report import exact_report, padic_report, real_report, report_schema
@@ -136,6 +136,18 @@ class TestRealReport:
         real_report(spec, samples=100_000, seed=5, bins=150)
         assert calls["sample_source"] == [100_000]
         assert calls["evaluate_array"] == [100_000, 50_000]  # 1.5 rows per sample
+
+    def test_one_recentering_per_run(self, capsys, monkeypatch):
+        calls = []
+
+        def spy(*args, _real=polys.shift_to_origin):
+            calls.append(args)
+            return _real(*args)
+        monkeypatch.setattr(polys, "shift_to_origin", spy)
+        _, out, _ = run_cli(capsys, "real", "map{n=2,m=1} f1=x1^2*x2^3",
+                            "--samples", "20000", "--seed", "1")
+        assert len(calls) == 1
+        assert json.loads(out)["comparison"]["exact_eps"] == "1/2"
 
     def test_weighted_multi_term_has_no_exact_value(self):
         spec = parse_map_spec("map{n=1,m=1} f1 = x1^2 + x1^3")
@@ -295,6 +307,18 @@ class TestCommandLine:
         assert (code, out) == (2, "")
         assert err == ("error: the recursion's node budget 0 ran out at depth 1; "
                        "enumeration: 15625 cells exceed the cell budget 1000\n")
+
+    @pytest.mark.parametrize("env, flag, error", [
+        ("abc", None, "error: ESL_CELL_BUDGET must be an integer >= 1, got 'abc'\n"),
+        ("0", None, "error: ESL_CELL_BUDGET must be an integer >= 1, got '0'\n"),
+        ("10", "-3", "error: --cell-budget must be an integer >= 1, got -3\n"),
+    ], ids=["env-not-an-integer", "env-zero", "flag-negative"])
+    def test_invalid_cell_budget_is_rejected(self, capsys, monkeypatch, env, flag, error):
+        monkeypatch.setenv("ESL_CELL_BUDGET", env)
+        budget = ["--cell-budget", flag] if flag else []
+        code, out, err = run_cli(capsys, "padic", "map{n=2,m=2} f1 = x1 f2 = x1*x2",
+                                 "-p", "2", "-k", "2", *budget)
+        assert (code, out, err) == (2, "", error)
 
     def test_negative_depth_is_rejected(self, capsys):
         code, out, err = run_cli(capsys, "padic", "map{n=1,m=1} f1=x1^2", "-p", "3", "-k", "-1")

@@ -35,6 +35,9 @@ CASES = {
                                  "-p", "3", "-k", "8"],
     "padic-valuation": ["padic", "map{n=2,m=1} f1=3*x1^2*x2^3", "-p", "3", "-k", "12"],
     "padic-enumeration": ["padic", "map{n=2,m=2} f1=x1*x2 f2=x1^2", "-p", "2", "-k", "4"],
+    "padic-enumeration-p7": ["padic", "map{n=2,m=2} f1=x1^2 f2=x1^2*x2", "-p", "7", "-k", "4"],
+    "padic-enumeration-free-axis": ["padic", "map{n=3,m=2} f1=x1^2 f2=x1*x2",
+                                    "-p", "3", "-k", "4"],
     "padic-single-depth": ["padic", "map{n=2,m=1} f1=x1*x2", "-p", "3", "-k", "1"],
     "padic-valuation-deep": ["padic", "map{n=2,m=1} f1=x1*x2", "-p", "3", "-k", "100"],
     "padic-recursion-deep": ["padic", "map{n=2,m=1} f1=x1^2+x2^2", "-p", "2", "-k", "200"],

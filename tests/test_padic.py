@@ -3,7 +3,7 @@ from functools import partial
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from esl import padic
 from esl.padic import (
@@ -20,6 +20,7 @@ from esl.padic import (
     zero_fiber_mass_recursive,
 )
 from esl.polys import Polynomial, PolyMap
+from .oracles import enumerated_cylinder_mass
 
 F = Fraction
 X1 = Polynomial.variable(1, 0)
@@ -68,6 +69,12 @@ class TestCylinderMass:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             cylinder_mass(XY, 5, 4, [0], cell_budget=1000)
+
+    def test_modulus_guard_before_any_work(self):
+        # 2^32 cells fit the budget, but the modulus 2^32 does not fit int64 products.
+        with pytest.raises(BudgetExceededError,
+                           match="^modulus too large for vectorized enumeration$"):
+            cylinder_mass(IDENT, 2, 32, [0], cell_budget=2**40)
 
     def test_non_integral_coefficients_rejected(self):
         bad = PolyMap([Polynomial.constant(1, F(1, 2)) * X1])
@@ -173,6 +180,47 @@ class TestEngineAgreement:
         # over p^k, for every depth of one deep column.
         masses = monomial_zero_mass(X2 * Y2, 3, 100)
         assert masses == [closed_form_xy_ratio(3, k) / 3**k for k in range(101)]
+
+
+@st.composite
+def small_maps(draw):
+    """(map, p, y, depth): n <= 3, m <= 2, unused axes, constant components,
+    negative coefficients and coefficients divisible by p, any target."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, min(n, 2)))
+    unused = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    exps = st.tuples(*[st.just(0) if a in unused else st.sampled_from([1, 2, 3, 0])
+                       for a in range(n)])
+    coeffs = st.builds(lambda c, v: c * p**v, st.integers(-9, 9), st.integers(0, 3))
+    components = []
+    for _ in range(m):
+        poly = Polynomial.zero(n)
+        for e, c in draw(st.lists(st.tuples(exps, coeffs), min_size=1, max_size=3)):
+            poly = poly + Polynomial.monomial(n, e, c)
+        components.append(poly)
+    y = draw(st.lists(st.integers(-40, 40), min_size=m, max_size=m))
+    # Down from one depth past the budget, where both engines must fail alike.
+    k = enumerable_depth(p, n) + 1 - draw(st.integers(0, enumerable_depth(p, n) + 1))
+    return PolyMap(components), p, y, k
+
+
+def column_or_error(engine, *args):
+    try:
+        return engine(*args)
+    except BudgetExceededError as err:
+        return f"BudgetExceededError: {err}"
+
+
+class TestLiftingMatchesEnumeration:
+    @given(small_maps())
+    @example((PolyMap([X2**2 * Y2 - 3 * X2, Polynomial.constant(2, 7)]), 3, [-2, 7], 5))
+    @example((PolyMap([Polynomial.monomial(3, (2, 0, 0), 25),
+                       Polynomial.monomial(3, (1, 1, 0), -1)]), 5, [0, -25], 2))
+    def test_column_equals_the_oracle(self, case):
+        pmap, p, y, k = case
+        assert column_or_error(cylinder_mass, pmap, p, k, y, ENUMERATION_BUDGET) == \
+            column_or_error(enumerated_cylinder_mass, pmap, p, k, y, ENUMERATION_BUDGET)
 
 
 def spy_engines(monkeypatch):
