@@ -19,6 +19,7 @@ fit here and the depth fits in padic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -28,6 +29,10 @@ import numpy as np
 from .polys import PolyMap
 
 SHARD_SIZE = 1 << 18
+# The Fourier kernel's block: a multiple of numpy's 8192-element reduce
+# buffer, so that a chain of block sums adds the same pairwise partial sums
+# in the same order as one sum over the whole array.
+BLOCK = 1 << 14
 
 
 class ZeroMassBoxError(ValueError):
@@ -170,26 +175,21 @@ def _inverse_power_cdf(u: np.ndarray, lo: float, hi: float, b: int) -> np.ndarra
     return np.sign(v) * (np.abs(v) * (b + 1)) ** (1.0 / (b + 1))
 
 
-def _shard_counts(total: int) -> list[int]:
-    counts = [SHARD_SIZE] * (total // SHARD_SIZE)
-    if total % SHARD_SIZE:
-        counts.append(total % SHARD_SIZE)
-    return counts
-
-
-def _draw_shard(cfg: SampleConfig, shard_index: int, count: int) -> np.ndarray:
-    rng = np.random.default_rng(cfg.seed + shard_index)
-    n = len(cfg.box)
-    weights = cfg.density_weights or (0,) * n
-    u = rng.random((count, n))
-    return np.column_stack([_inverse_power_cdf(u[:, axis], float(lo), float(hi), weights[axis])
-                            for axis, (lo, hi) in enumerate(cfg.box)])
-
-
 def sample_source(cfg: SampleConfig) -> np.ndarray:
     """Deterministic (count, n) array of draws from the configured measure."""
-    counts = _shard_counts(cfg.count)
-    return np.concatenate([_draw_shard(cfg, i, c) for i, c in enumerate(counts)])
+    n = len(cfg.box)
+    weights = cfg.density_weights or (0,) * n
+    points = np.empty((cfg.count, n))
+    for shard, start in enumerate(range(0, cfg.count, SHARD_SIZE)):
+        rows = points[start:start + SHARD_SIZE]
+        np.random.default_rng(cfg.seed + shard).random(out=rows)
+        for axis, (lo, hi) in enumerate(cfg.box):
+            column, lo, hi = rows[:, axis], float(lo), float(hi)
+            if weights[axis]:
+                column[...] = _inverse_power_cdf(column, lo, hi, weights[axis])
+            else:  # the b = 0 inverse CDF, lo + u*(hi - lo), bit for bit
+                np.add(np.multiply(column, hi - lo, out=column), lo, out=column)
+    return points
 
 
 def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
@@ -198,19 +198,31 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] != pmap.n:
         raise ValueError(f"expected points of shape (N, {pmap.n})")
     out = np.zeros((points.shape[0], pmap.m))
+    term = np.empty(points.shape[0])
+    # Each column power x_axis^e is computed once and dropped after its last use.
+    uses = Counter((axis, e) for comp in pmap.components for exps, _ in comp.terms()
+                   for axis, e in enumerate(exps) if e > 1)
+    powers: dict[tuple[int, int], np.ndarray] = {}
     for j, comp in enumerate(pmap.components):
         for exps, coeff in comp.terms():
             try:
-                c = float(coeff)
+                term.fill(float(coeff))
             except OverflowError:
                 raise CoefficientOverflowError(
                     f"a coefficient of f{j + 1} overflows double precision "
                     f"(|c| > {np.finfo(float).max:.3g})") from None
-            value = np.full(points.shape[0], c)
             for axis, e in enumerate(exps):
-                if e:
-                    value = value * points[:, axis] ** e
-            out[:, j] += value
+                if e == 1:
+                    np.multiply(term, points[:, axis], out=term)
+                elif e:
+                    key = (axis, e)
+                    if key not in powers:
+                        powers[key] = points[:, axis] ** e
+                    np.multiply(term, powers[key], out=term)
+                    uses[key] -= 1
+                    if not uses[key]:
+                        del powers[key]
+            np.add(out[:, j], term, out=out[:, j])
     return out
 
 
@@ -394,21 +406,30 @@ SUPERPOLYNOMIAL_SLOPE = 1.5
 
 
 def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    mags = np.empty(len(t_grid))
     # Bound |t*y| below the double range, so that neither t*y nor its
     # reduction overflows; phases that large are unresolvable all the same.
     # The check allocates nothing, and only such rare values pay for a copy.
     limit = np.finfo(float).max / (8 * np.max(np.abs(t_grid)))
     if values.max() > limit or values.min() < -limit:
         values = np.clip(values, -limit, limit)
-    for i, t in enumerate(t_grid):
-        phase = t * values
-        phase -= 2 * np.pi * np.rint(phase / (2 * np.pi))
-        # Past 2^53 the reduction leaves phases that overflow float32; clip them.
-        phase = np.clip(phase, -np.pi, np.pi, out=phase).astype(np.float32)
-        mags[i] = math.hypot(np.cos(phase).mean(dtype=np.float64),
-                             np.sin(phase).mean(dtype=np.float64))
-    return mags
+    sums = np.zeros((len(t_grid), 2))
+    phase, turns = np.empty(BLOCK), np.empty(BLOCK)
+    phase32, trig = np.empty(BLOCK, np.float32), np.empty(BLOCK, np.float32)
+    for start in range(0, len(values), BLOCK):
+        block = values[start:start + BLOCK]
+        size = len(block)
+        ph, tu, ph32, tr = phase[:size], turns[:size], phase32[:size], trig[:size]
+        for i, t in enumerate(t_grid):
+            np.multiply(block, t, out=ph)
+            np.divide(ph, 2 * np.pi, out=tu)
+            np.multiply(np.rint(tu, out=tu), 2 * np.pi, out=tu)
+            np.subtract(ph, tu, out=ph)
+            # Past 2^53 the reduction leaves phases that overflow float32; clip them.
+            ph32[...] = np.clip(ph, -np.pi, np.pi, out=ph)
+            # Chained block sums equal one whole-array sum bit for bit.
+            sums[i, 0] = np.add.reduce(np.cos(ph32, out=tr), dtype=np.float64, initial=sums[i, 0])
+            sums[i, 1] = np.add.reduce(np.sin(ph32, out=tr), dtype=np.float64, initial=sums[i, 1])
+    return np.array([math.hypot(c / len(values), s / len(values)) for c, s in sums])
 
 
 def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[float],
@@ -445,7 +466,9 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
     lo = np.array([float(b[0]) for b in cfg.box])
     hi = np.array([float(b[1]) for b in cfg.box])
     mirrored = lo + hi - base  # antithetic partner within the box
-    values = np.concatenate([base_values, evaluate_array(pmap, mirrored)[:, 0]])
+    values = np.empty(2 * half)
+    values[:half] = base_values
+    values[half:] = evaluate_array(pmap, mirrored)[:, 0]
     t_range = (float(t_grid[0]), float(t_grid[-1]))
     if np.min(np.abs(values)) >= 2.0**53 / t_grid[0]:
         return FourierDecayFit(0.0, 0.0, t_range, flag="unresolvable")

@@ -4,7 +4,9 @@ These deliberately avoid the library's own solution paths: the LP oracle
 enumerates basic solutions instead of pivoting, the integral oracles use
 direct quadrature/series, the characteristic function is taken in
 complex128, the density oracle sums change-of-variables terms over exactly
-isolated real roots, the bump sampler draws a smooth compactly supported
+isolated real roots, the per-frequency Fourier kernel and the column-stacked
+sampler are the unblocked forms the library's buffered kernels must match
+bit for bit, the bump sampler draws a smooth compactly supported
 law by rejection, and the cylinder oracle enumerates all of (Z/p^k)^n
 afresh at every depth instead of lifting the solutions of the depth above.
 Expected values asserted in the tests were computed (and are re-checked)
@@ -14,6 +16,7 @@ with these.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +24,7 @@ import numpy as np
 from esl.lct import MonomialIdeal
 from esl.padic import BudgetExceededError, _integer_coefficient_terms
 from esl.polys import Polynomial, PolyMap, substitute_affine
+from esl.realnum import SHARD_SIZE, SampleConfig
 
 
 def solve_square_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -116,6 +120,40 @@ def tail_power_selfconvolution_slope(exponent: float = -2.0 / 3.0,
 def char_function_magnitudes(values: np.ndarray, t_grid) -> np.ndarray:
     """|mean(exp(i t y))| per frequency, in complex128."""
     return np.array([abs(np.exp(1j * t * values).mean()) for t in t_grid])
+
+
+def char_function_magnitudes_per_frequency(values: np.ndarray, t_grid) -> np.ndarray:
+    """The float32 kernel one whole-array pass per frequency, with fresh temporaries."""
+    mags = np.empty(len(t_grid))
+    limit = np.finfo(float).max / (8 * np.max(np.abs(t_grid)))
+    if values.max() > limit or values.min() < -limit:
+        values = np.clip(values, -limit, limit)
+    for i, t in enumerate(t_grid):
+        phase = t * values
+        phase -= 2 * np.pi * np.rint(phase / (2 * np.pi))
+        phase = np.clip(phase, -np.pi, np.pi, out=phase).astype(np.float32)
+        mags[i] = math.hypot(np.cos(phase).mean(dtype=np.float64),
+                             np.sin(phase).mean(dtype=np.float64))
+    return mags
+
+
+def sample_source_stacked(cfg: SampleConfig) -> np.ndarray:
+    """The sampler one column_stack per shard and one concatenate at the end."""
+    def inverse_power_cdf(u, lo, hi, b):
+        h_lo, h_hi = (math.copysign(abs(t) ** (b + 1) / (b + 1), t) for t in (lo, hi))
+        v = h_lo + u * (h_hi - h_lo)
+        return np.sign(v) * (np.abs(v) * (b + 1)) ** (1.0 / (b + 1))
+
+    n = len(cfg.box)
+    weights = cfg.density_weights or (0,) * n
+    shards = []
+    for index, start in enumerate(range(0, cfg.count, SHARD_SIZE)):
+        count = min(SHARD_SIZE, cfg.count - start)
+        u = np.random.default_rng(cfg.seed + index).random((count, n))
+        shards.append(np.column_stack([
+            inverse_power_cdf(u[:, axis], float(lo), float(hi), weights[axis])
+            for axis, (lo, hi) in enumerate(cfg.box)]))
+    return np.concatenate(shards)
 
 
 # ---------------------------------------------------------------------------

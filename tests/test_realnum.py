@@ -9,6 +9,7 @@ import pytest
 from esl.mapspec import parse_map_spec
 from esl.polys import Polynomial, PolyMap, shift_to_origin
 from esl.realnum import (
+    BLOCK,
     SHARD_SIZE,
     GridTooCoarseError,
     Histogram,
@@ -34,7 +35,9 @@ from .oracles import (
     CriticalValueError,
     bump_sample,
     char_function_magnitudes,
+    char_function_magnitudes_per_frequency,
     density_oracle_equidim_1d,
+    sample_source_stacked,
 )
 
 SEED = 424242
@@ -62,6 +65,13 @@ class TestSampling:
         half = max(count // 2, 1)
         full = sample_source(cfg)
         assert np.array_equal(sample_source(replace(cfg, count=half)), full[:half])
+
+    @pytest.mark.parametrize("weights", [None, (1,), (0, 2, 1)])
+    def test_shards_match_the_column_stacked_sampler(self, weights):
+        n = len(weights) if weights else 1
+        box = ((-1, 1), (Fraction(-1, 2), Fraction(3, 4)), (0, 2))[:n]
+        cfg = SampleConfig(seed=SEED, count=2 * SHARD_SIZE + 3, box=box, density_weights=weights)
+        assert np.array_equal(sample_source(cfg), sample_source_stacked(cfg))
 
     def test_identity_kolmogorov_distance(self):
         values = sample_pushforward(IDENTITY, unit_cfg(100_000))
@@ -283,6 +293,13 @@ class TestCharFunctionKernel:
             want = char_function_magnitudes(values, DEFAULT_T_GRID)
             assert np.max(np.abs(got - want)) <= 1e-7
 
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5,
+                                      100_001, 1_000_000])
+    def test_blocked_sums_match_the_per_frequency_kernel(self, size):
+        values = np.random.default_rng(size).standard_normal(size) ** 3
+        assert np.array_equal(_char_function_magnitudes(values, DEFAULT_T_GRID),
+                              char_function_magnitudes_per_frequency(values, DEFAULT_T_GRID))
+
     def test_huge_phases_stay_finite(self):
         values = np.array([1e300, -1e300, 0.0, 3.7e250, 0.0, -2e200, 1e17, 0.5, 1.7e308])
         with warnings.catch_warnings():
@@ -290,6 +307,7 @@ class TestCharFunctionKernel:
             mags = _char_function_magnitudes(values, DEFAULT_T_GRID)
         assert np.all(np.isfinite(mags))
         assert np.all((mags >= 0) & (mags <= 1))
+        assert np.array_equal(mags, char_function_magnitudes_per_frequency(values, DEFAULT_T_GRID))
 
 
 class TestConvolution:
