@@ -192,6 +192,19 @@ def sample_source(cfg: SampleConfig) -> np.ndarray:
     return points
 
 
+def _int_power(base: np.ndarray, e: int) -> np.ndarray:
+    """base**e for an integer e >= 1 by square-and-multiply: plain float products,
+    which numpy's power would beat in accuracy only at a slow path on negative bases."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
+
+
 def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
     """Vectorized float evaluation: (N, n) points -> (N, m) images."""
     points = np.asarray(points, dtype=float)
@@ -217,7 +230,7 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
                 elif e:
                     key = (axis, e)
                     if key not in powers:
-                        powers[key] = points[:, axis] ** e
+                        powers[key] = _int_power(points[:, axis], e)
                     np.multiply(term, powers[key], out=term)
                     uses[key] -= 1
                     if not uses[key]:

@@ -137,6 +137,33 @@ def char_function_magnitudes_per_frequency(values: np.ndarray, t_grid) -> np.nda
     return mags
 
 
+def float_power(x: float, e: int) -> float:
+    """x**e for an integer e >= 1 by square-and-multiply in Python floats."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if not e:
+            return result
+        x = x * x
+
+
+def evaluate_float(pmap: PolyMap, point) -> list[float]:
+    """The map at one point in Python floats, term by term in the map's term order."""
+    values = []
+    for comp in pmap.components:
+        total = 0.0
+        for exps, coeff in comp.terms():
+            term = float(coeff)
+            for x, e in zip(point, exps):
+                if e:
+                    term = term * float_power(float(x), e)
+            total = total + term
+        values.append(total)
+    return values
+
+
 def sample_source_stacked(cfg: SampleConfig) -> np.ndarray:
     """The sampler one column_stack per shard and one concatenate at the end."""
     def inverse_power_cdf(u, lo, hi, b):

@@ -37,6 +37,8 @@ from .oracles import (
     char_function_magnitudes,
     char_function_magnitudes_per_frequency,
     density_oracle_equidim_1d,
+    evaluate_float,
+    float_power,
     sample_source_stacked,
 )
 
@@ -119,6 +121,29 @@ class TestSampling:
         pts = np.array([[0.5], [-0.25]])
         out = evaluate_array(pmap, pts)
         assert np.allclose(out[:, 0], [0.25 + 1 / 3, 0.0625 + 1 / 3])
+
+
+class TestExactPowers:
+    POINTS = [-1.7, -1.0, -0.75, -0.3, -1.2e-3, -1e-3, -0.0, 0.0, 9.7e-4, 1e-3, 0.3, 0.999, 1.0, 1.3]
+
+    @pytest.mark.parametrize("e", [*range(1, 10), 56, 130])
+    def test_square_and_multiply_bit_for_bit(self, e):
+        got = evaluate_array(PolyMap([X**e]), np.array(self.POINTS)[:, None])[:, 0]
+        assert np.array_equal(got, [float_power(x, e) for x in self.POINTS])
+        # e - 1 rounded products: relative error at most (1 + 2^-53)^(e-1) - 1.
+        bound = (1 + Fraction(1, 2**53)) ** (e - 1) - 1
+        for x, y in zip(self.POINTS, got):
+            exact = Fraction(x) ** e
+            if np.finfo(float).tiny <= abs(exact) <= np.finfo(float).max:
+                assert abs(Fraction(float(y)) - exact) <= bound * abs(exact)
+
+    def test_shared_column_powers(self):
+        spec = parse_map_spec("map{n=3,m=2} f1=2*x1^3*x2^2-x1^3+x2^2*x3^5 "
+                              "f2=x1^3*x3^5+1/3*x2^2-x3 at (1/2, -3/4, 1/3)")
+        pmap = shift_to_origin(spec.poly_map(), spec.point)
+        points = np.random.default_rng(SEED).uniform(-1, 1, (200, 3))
+        got = evaluate_array(pmap, points)
+        assert np.array_equal(got, [evaluate_float(pmap, point) for point in points])
 
 
 class TestHistogram:
