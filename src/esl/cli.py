@@ -62,6 +62,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_real(args) -> int:
+    if args.bins < 1:
+        raise ValueError(f"--bins must be an integer >= 1, got {args.bins}")
     spec = parse_map_spec(_load_spec_text(args.spec))
     weights = [int(w) for w in args.weights.split(",")] if args.weights else None
     payload, hist = report.real_report(spec, samples=args.samples, seed=args.seed,

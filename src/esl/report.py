@@ -18,7 +18,7 @@ import numpy as np
 from . import exponents, padic, polys, realnum
 from .lct import lct_monomial, lct_principal_monomial
 from .mapspec import MapSpec
-from .values import ExponentValue, FieldValidity
+from .values import ExponentValue, FieldValidity, LctValue
 
 SCHEMA = "esl-report/1"
 
@@ -68,6 +68,19 @@ def exact_report(spec: MapSpec) -> dict:
     return _exact_report(spec, _recentered(spec))
 
 
+def _fiber_exponent(shifted: polys.PolyMap) -> tuple[LctValue, ExponentValue] | None:
+    """Fiber threshold of a one-dimensional single-term map c*z^a with a != 0,
+    and the exact exponent lct/(1-lct) it gives; None for any other map."""
+    comp = shifted.components[0]
+    if shifted.m != 1 or not comp.is_single_term or comp.is_zero:
+        return None
+    [(exps, _)] = comp.terms()
+    if not any(exps):
+        return None
+    lct_fiber = lct_principal_monomial(exps)
+    return lct_fiber, exponents.eps_from_lct(lct_fiber.value)
+
+
 def _exact_report(spec: MapSpec, shifted: polys.PolyMap) -> dict:
     """exact_report of the map already shifted to its base point."""
     report: dict = {"schema": SCHEMA, "command": "exact", "map": _map_echo(spec), "notes": []}
@@ -101,13 +114,10 @@ def _exact_report(spec: MapSpec, shifted: polys.PolyMap) -> dict:
                                     field_validity=lct_jac.validity.value)
 
     # Fiber threshold drives the exact one-dimensional formula.
-    lct_fiber = None
-    if spec.m == 1 and shifted.components[0].is_single_term and not shifted.components[0].is_zero:
-        [(exps, _)] = shifted.components[0].terms()
-        if any(e > 0 for e in exps):
-            lct_fiber = lct_principal_monomial(exps)
-            report["lct_fiber"] = _field(_ev(lct_fiber.value), "lct_principal_monomial",
-                                         field_validity=lct_fiber.validity.value)
+    lct_fiber, fiber_eps = _fiber_exponent(shifted) or (None, None)
+    if lct_fiber is not None:
+        report["lct_fiber"] = _field(_ev(lct_fiber.value), "lct_principal_monomial",
+                                     field_validity=lct_fiber.validity.value)
 
     eps_section: dict = {}
     eps_exact: ExponentValue | None = None
@@ -118,7 +128,7 @@ def _exact_report(spec: MapSpec, shifted: polys.PolyMap) -> dict:
                                       field_validity=lct_jac.validity.value)
         notes.append("equidimensional map: exponent equals the Jacobian-ideal threshold")
     elif lct_fiber is not None:
-        eps_exact = exponents.eps_from_lct(lct_fiber.value)
+        eps_exact = fiber_eps
         eps_section["exact"] = _field(_ev(eps_exact), "eps_from_lct",
                                       field_validity=lct_fiber.validity.value)
         notes.append("one-dimensional monomial target: exact formula lct/(1-lct) applies")
@@ -212,8 +222,11 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
 
     if any(cfg.density_weights or ()):
         exact_eps = _weighted_exact_eps(shifted, cfg.density_weights)
-    else:
+    elif spec.n == spec.m:
         exact_eps = _exact_report(spec, shifted).get("eps", {}).get("exact", {}).get("value")
+    else:  # n > m = 1: only the fiber threshold decides, so no Jacobian minors
+        fiber = _fiber_exponent(shifted)
+        exact_eps = _ev(fiber[1]) if fiber else None
     comparison: dict = {}
     if exact_eps is not None:
         comparison["exact_eps"] = exact_eps

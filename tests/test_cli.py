@@ -7,7 +7,7 @@ from functools import partial
 import jsonschema
 import pytest
 
-from esl import padic, polys, realnum
+from esl import padic, polys, realnum, simplex
 from esl.cli import main
 from esl.mapspec import parse_map_spec
 from esl.report import exact_report, padic_report, real_report, report_schema
@@ -138,15 +138,17 @@ class TestRealReport:
         assert calls["evaluate_array"] == [100_000, 50_000]  # 1.5 rows per sample
 
     def test_one_recentering_per_run(self, capsys, monkeypatch):
-        calls = []
-
-        def spy(*args, _real=polys.shift_to_origin):
-            calls.append(args)
-            return _real(*args)
-        monkeypatch.setattr(polys, "shift_to_origin", spy)
+        # For n > m = 1 the fiber threshold alone gives the exact exponent.
+        calls = {"shift_to_origin": 0, "jacobian_minors": 0, "solve_min": 0}
+        for module, name in [(polys, "shift_to_origin"), (polys, "jacobian_minors"),
+                             (simplex, "solve_min")]:
+            def spy(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, spy)
         _, out, _ = run_cli(capsys, "real", "map{n=2,m=1} f1=x1^2*x2^3",
                             "--samples", "20000", "--seed", "1")
-        assert len(calls) == 1
+        assert calls == {"shift_to_origin": 1, "jacobian_minors": 0, "solve_min": 0}
         assert json.loads(out)["comparison"]["exact_eps"] == "1/2"
 
     def test_weighted_multi_term_has_no_exact_value(self):
@@ -213,6 +215,12 @@ class TestCommandLine:
     def test_real_requires_seed(self, capsys):
         with pytest.raises(SystemExit):
             main(["real", "map{n=1,m=1} f1 = x1^2", "--samples", "1000"])
+
+    @pytest.mark.parametrize("bins", ["-5", "0"])
+    def test_invalid_bins_is_rejected(self, capsys, bins):
+        code, out, err = run_cli(capsys, "real", "map{n=1,m=1} f1=x1^2", "--bins", bins,
+                                 "--seed", "1")
+        assert (code, out, err) == (2, "", f"error: --bins must be an integer >= 1, got {bins}\n")
 
     def test_real_has_no_workers_flag(self, capsys):
         with pytest.raises(SystemExit):
