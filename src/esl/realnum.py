@@ -7,10 +7,12 @@ asymptotic model near the critical value), the Fourier-decay exponent, the
 small-ball slope, and histogram convolution powers.
 
 Determinism: all sampling is sharded with seeds base_seed + shard_index and
-fixed shard size, so a given SampleConfig always produces a bit-identical
-stream and a shorter count draws a prefix.  `esl real` evaluates one draw;
+fixed shard size, so a given SampleConfig produces a bit-identical stream on
+one machine and numpy build, and a shorter count draws a prefix.  `esl real`
+evaluates one draw, integer powers as square-and-multiply float products;
 the Fourier estimate reuses its first half plus that half's antithetic
-mirror, with float32 cos/sin of float64-reduced phases averaged in float64
+mirror, with float32 cos/sin of float64-reduced phases summed in float64
+block by block in reused buffers, chained to equal one whole-array sum
 (1e-9 from complex128; noise floor 10/sqrt(N)).  One weighted line fit,
 fit_line, and one log-power selector, fit_log_power, serve every exponent
 fit here and the depth fits in padic.
@@ -29,9 +31,7 @@ import numpy as np
 from .polys import PolyMap
 
 SHARD_SIZE = 1 << 18
-# The Fourier kernel's block: a multiple of numpy's 8192-element reduce
-# buffer, so that a chain of block sums adds the same pairwise partial sums
-# in the same order as one sum over the whole array.
+# A multiple of numpy's 8192-element reduce buffer: chained block sums equal one whole-array sum.
 BLOCK = 1 << 14
 
 
@@ -168,41 +168,32 @@ class FourierDecayFit:
 # ---------------------------------------------------------------------------
 
 
-def _inverse_power_cdf(u: np.ndarray, lo: float, hi: float, b: int) -> np.ndarray:
-    """Inverse CDF of the density ~ |t|^b on [lo, hi], via H(t) = sign(t) |t|^(b+1)/(b+1)."""
-    h_lo, h_hi = (math.copysign(abs(t) ** (b + 1) / (b + 1), t) for t in (lo, hi))
-    v = h_lo + u * (h_hi - h_lo)
-    return np.sign(v) * (np.abs(v) * (b + 1)) ** (1.0 / (b + 1))
-
-
 def sample_source(cfg: SampleConfig) -> np.ndarray:
     """Deterministic (count, n) array of draws from the configured measure."""
-    n = len(cfg.box)
-    weights = cfg.density_weights or (0,) * n
-    points = np.empty((cfg.count, n))
+    weights = cfg.density_weights or (0,) * len(cfg.box)
+    points = np.empty((cfg.count, len(cfg.box)))
     for shard, start in enumerate(range(0, cfg.count, SHARD_SIZE)):
         rows = points[start:start + SHARD_SIZE]
         np.random.default_rng(cfg.seed + shard).random(out=rows)
-        for axis, (lo, hi) in enumerate(cfg.box):
-            column, lo, hi = rows[:, axis], float(lo), float(hi)
-            if weights[axis]:
-                column[...] = _inverse_power_cdf(column, lo, hi, weights[axis])
-            else:  # the b = 0 inverse CDF, lo + u*(hi - lo), bit for bit
-                np.add(np.multiply(column, hi - lo, out=column), lo, out=column)
+        for axis, ((lo, hi), b) in enumerate(zip(cfg.box, weights)):
+            # Inverse CDF of the density ~ |t|^b on [lo, hi], via H(t) = sign(t) |t|^(b+1)/(b+1);
+            # at b = 0 it is lo + u*(hi - lo), computed in place.
+            h = [math.copysign(abs(t) ** (b + 1) / (b + 1), t) for t in (float(lo), float(hi))]
+            column = rows[:, axis]
+            np.add(np.multiply(column, h[1] - h[0], out=column), h[0], out=column)
+            if b:
+                column[...] = np.sign(column) * (np.abs(column) * (b + 1)) ** (1.0 / (b + 1))
     return points
 
 
 def _int_power(base: np.ndarray, e: int) -> np.ndarray:
-    """base**e for an integer e >= 1 by square-and-multiply: plain float products,
-    which numpy's power would beat in accuracy only at a slow path on negative bases."""
-    result = None
-    while True:
+    """base**e for an integer e >= 1 by square-and-multiply, in plain float products."""
+    result = base if e & 1 else None
+    while e := e >> 1:
+        base = base * base
         if e & 1:
             result = base if result is None else result * base
-        e >>= 1
-        if not e:
-            return result
-        base = base * base
+    return result
 
 
 def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
@@ -214,7 +205,7 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
     term = np.empty(points.shape[0])
     # Each column power x_axis^e is computed once and dropped after its last use.
     uses = Counter((axis, e) for comp in pmap.components for exps, _ in comp.terms()
-                   for axis, e in enumerate(exps) if e > 1)
+                   for axis, e in enumerate(exps) if e)
     powers: dict[tuple[int, int], np.ndarray] = {}
     for j, comp in enumerate(pmap.components):
         for exps, coeff in comp.terms():
@@ -224,17 +215,13 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
                 raise CoefficientOverflowError(
                     f"a coefficient of f{j + 1} overflows double precision "
                     f"(|c| > {np.finfo(float).max:.3g})") from None
-            for axis, e in enumerate(exps):
-                if e == 1:
-                    np.multiply(term, points[:, axis], out=term)
-                elif e:
-                    key = (axis, e)
-                    if key not in powers:
-                        powers[key] = _int_power(points[:, axis], e)
-                    np.multiply(term, powers[key], out=term)
-                    uses[key] -= 1
-                    if not uses[key]:
-                        del powers[key]
+            for key in ((axis, e) for axis, e in enumerate(exps) if e):
+                if key not in powers:
+                    powers[key] = _int_power(points[:, key[0]], key[1])
+                np.multiply(term, powers[key], out=term)
+                uses[key] -= 1
+                if not uses[key]:
+                    del powers[key]
             np.add(out[:, j], term, out=out[:, j])
     return out
 
@@ -426,20 +413,15 @@ def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndar
     if values.max() > limit or values.min() < -limit:
         values = np.clip(values, -limit, limit)
     sums = np.zeros((len(t_grid), 2))
-    phase, turns = np.empty(BLOCK), np.empty(BLOCK)
-    phase32, trig = np.empty(BLOCK, np.float32), np.empty(BLOCK, np.float32)
+    scratch, scratch32 = np.empty((2, BLOCK)), np.empty((2, BLOCK), np.float32)
     for start in range(0, len(values), BLOCK):
         block = values[start:start + BLOCK]
-        size = len(block)
-        ph, tu, ph32, tr = phase[:size], turns[:size], phase32[:size], trig[:size]
+        (ph, tu), (ph32, tr) = scratch[:, :len(block)], scratch32[:, :len(block)]
         for i, t in enumerate(t_grid):
-            np.multiply(block, t, out=ph)
-            np.divide(ph, 2 * np.pi, out=tu)
-            np.multiply(np.rint(tu, out=tu), 2 * np.pi, out=tu)
-            np.subtract(ph, tu, out=ph)
+            np.divide(np.multiply(block, t, out=ph), 2 * np.pi, out=tu)
+            np.subtract(ph, np.multiply(np.rint(tu, out=tu), 2 * np.pi, out=tu), out=ph)
             # Past 2^53 the reduction leaves phases that overflow float32; clip them.
             ph32[...] = np.clip(ph, -np.pi, np.pi, out=ph)
-            # Chained block sums equal one whole-array sum bit for bit.
             sums[i, 0] = np.add.reduce(np.cos(ph32, out=tr), dtype=np.float64, initial=sums[i, 0])
             sums[i, 1] = np.add.reduce(np.sin(ph32, out=tr), dtype=np.float64, initial=sums[i, 1])
     return np.array([math.hypot(c / len(values), s / len(values)) for c, s in sums])
@@ -480,8 +462,7 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
     hi = np.array([float(b[1]) for b in cfg.box])
     mirrored = lo + hi - base  # antithetic partner within the box
     values = np.empty(2 * half)
-    values[:half] = base_values
-    values[half:] = evaluate_array(pmap, mirrored)[:, 0]
+    values[:half], values[half:] = base_values, evaluate_array(pmap, mirrored)[:, 0]
     t_range = (float(t_grid[0]), float(t_grid[-1]))
     if np.min(np.abs(values)) >= 2.0**53 / t_grid[0]:
         return FourierDecayFit(0.0, 0.0, t_range, flag="unresolvable")

@@ -69,12 +69,9 @@ def exact_report(spec: MapSpec) -> dict:
 
 
 def _fiber_exponent(shifted: polys.PolyMap) -> tuple[LctValue, ExponentValue] | None:
-    """Fiber threshold of a one-dimensional single-term map c*z^a with a != 0,
-    and the exact exponent lct/(1-lct) it gives; None for any other map."""
+    """Fiber threshold of a single term c*z^a (a != 0, m = 1) and its exponent lct/(1-lct)."""
     comp = shifted.components[0]
-    if shifted.m != 1 or not comp.is_single_term or comp.is_zero:
-        return None
-    [(exps, _)] = comp.terms()
+    exps = comp.terms()[0][0] if shifted.m == 1 and comp.is_single_term else ()
     if not any(exps):
         return None
     lct_fiber = lct_principal_monomial(exps)
