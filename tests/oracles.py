@@ -6,9 +6,10 @@ direct quadrature/series, the characteristic function is taken in
 complex128, the density oracle sums change-of-variables terms over exactly
 isolated real roots, the per-frequency Fourier kernel and the column-stacked
 sampler are the unblocked forms the library's buffered kernels must match
-bit for bit, the bump sampler draws a smooth compactly supported
-law by rejection, and the cylinder oracle enumerates all of (Z/p^k)^n
-afresh at every depth instead of lifting the solutions of the depth above.
+bit for bit, the float evaluator multiplies Python floats term by term, the
+bump sampler draws a smooth compactly supported law by rejection, and the
+cylinder oracle enumerates all of (Z/p^k)^n afresh at every depth instead of
+lifting the solutions of the depth above.
 Expected values asserted in the tests were computed (and are re-checked)
 with these.
 """
