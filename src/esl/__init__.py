@@ -4,7 +4,34 @@ Exact engines (sparse rational polynomials, Newton-polyhedron thresholds,
 closed-form exponent conversions) paired with empirical verification over
 the reals (Monte Carlo pushforwards, tail and Fourier-decay fits) and over
 the p-adics (exact cylinder masses).
+
+numpy loads on first use.  `realnum` and `padic` bind the handle `_np`:
+numpy itself when it is already imported, otherwise a stub from the standard
+library's `importlib.util.LazyLoader` that loads numpy at its first attribute
+access.  The exact engines never touch it, so `esl exact` never loads numpy;
+`real`, `padic` and the `padic-xy` suite of `verify` load it at their first
+array.
 """
+
+
+def _lazy_numpy():
+    import importlib.util
+    import sys
+
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    loader.exec_module(module)
+    return module
+
+
+_np = _lazy_numpy()
 
 from .values import (
     INF,

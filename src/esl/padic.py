@@ -30,8 +30,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
-import numpy as np
-
+from . import _np as np
 from .polys import Polynomial, PolyMap, substitute_affine
 from .realnum import fit_line, fit_log_power
 

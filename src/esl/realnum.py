@@ -26,8 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
+from . import _np as np
 from .polys import PolyMap
 
 SHARD_SIZE = 1 << 18

@@ -13,8 +13,6 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-import numpy as np
-
 from . import exponents, padic, polys, realnum
 from .lct import lct_monomial, lct_principal_monomial
 from .mapspec import MapSpec
@@ -169,7 +167,14 @@ def _exact_report(spec: MapSpec, shifted: polys.PolyMap) -> dict:
     return report
 
 
-DEFAULT_T_GRID = tuple(float(t) for t in np.geomspace(10.0, 3000.0, 16))
+# tuple(float(t) for t in numpy.geomspace(10.0, 3000.0, 16)), written out so
+# that importing this module does not load numpy.
+DEFAULT_T_GRID = (
+    10.0, 14.626533728893852, 21.39354889224695, 31.29134644531899,
+    45.768393420496096, 66.94329500821696, 97.91483623609773, 143.21546547664022,
+    209.47458362933102, 306.3887062800405, 448.14047465571656, 655.4741767834342,
+    958.7315155141838, 1402.291884862172, 2051.0669551690708, 3000.0,
+)
 
 
 def _weighted_exact_eps(shifted: polys.PolyMap, weights: Sequence[int]) -> str | None:
