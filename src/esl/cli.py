@@ -62,10 +62,17 @@ def cmd_exact(args) -> int:
 
 
 def cmd_real(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
     if args.bins < 1:
         raise ValueError(f"--bins must be an integer >= 1, got {args.bins}")
+    weights = args.weights.split(",") if args.weights else None
+    if weights is not None:
+        if not all(w.isdecimal() for w in weights):
+            raise ValueError(f"--weights must be comma-separated integers >= 0, "
+                             f"got {args.weights!r}")
+        weights = [int(w) for w in weights]
     spec = parse_map_spec(_load_spec_text(args.spec))
-    weights = [int(w) for w in args.weights.split(",")] if args.weights else None
     payload, hist = report.real_report(spec, samples=args.samples, seed=args.seed,
                                        bins=args.bins, density_weights=weights)
     _emit_json(payload, args.out)

@@ -222,6 +222,22 @@ class TestCommandLine:
                                  "--seed", "1")
         assert (code, out, err) == (2, "", f"error: --bins must be an integer >= 1, got {bins}\n")
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_rejected(self, capsys, seed):
+        code, out, err = run_cli(capsys, "real", "map{n=1,m=1} f1=x1^2", "--seed", seed)
+        assert (code, out, err) == (2, "", f"error: --seed must be an integer >= 0, got {seed}\n")
+
+    @pytest.mark.parametrize("weights", ["a", "1,,2", "-1", "1,2.5", " 1"])
+    def test_invalid_weights_are_rejected_before_sampling(self, capsys, monkeypatch, weights):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before validating --weights")
+
+        monkeypatch.setattr(realnum, "sample_source", no_sampling)
+        code, out, err = run_cli(capsys, "real", "map{n=2,m=1} f1=x1^2*x2", "--seed", "1",
+                                 "--weights", weights)
+        assert (code, out, err) == (
+            2, "", f"error: --weights must be comma-separated integers >= 0, got {weights!r}\n")
+
     def test_real_has_no_workers_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["real", "map{n=1,m=1} f1 = x1^2", "--seed", "1", "--workers", "2"])
