@@ -103,19 +103,10 @@ def newton_polyhedron_threshold(ideal: MonomialIdeal) -> Fraction:
     gens = ideal.generators
     g, n = len(gens), ideal.n
     # Variables: lam_1..lam_g, t, s_1..s_n (slacks), all >= 0.
-    num_vars = g + 1 + n
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(n):
-        row = [Fraction(gens[j][i]) for j in range(g)]
-        row.append(Fraction(-1))
-        row.extend(Fraction(1) if s == i else Fraction(0) for s in range(n))
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * g + [Fraction(0)] * (1 + n))
-    rhs.append(Fraction(1))
-    cost = [Fraction(0)] * g + [Fraction(1)] + [Fraction(0)] * n
-    value, _solution = simplex.solve_min(cost, rows, rhs)
+    rows = [[gens[j][i] for j in range(g)] + [-1] + [int(s == i) for s in range(n)]
+            for i in range(n)]
+    rows.append([1] * g + [0] * (1 + n))
+    value, _solution = simplex.solve_min([0] * g + [1] + [0] * n, rows, [0] * n + [1])
     return value
 
 

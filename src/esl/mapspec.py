@@ -106,8 +106,9 @@ class _Parser:
     def __init__(self, tokens: list[_Token], source: str):
         self.tokens = tokens
         self.pos = 0
-        last_line = source.count("\n") + 1
-        self._eof = _Token("EOF", "", last_line, 1)
+        # End of input sits one column past the last character of the last line.
+        self._eof = _Token("EOF", "", source.count("\n") + 1,
+                           len(source.rsplit("\n", 1)[-1]) + 1)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else self._eof
@@ -189,12 +190,15 @@ class _Parser:
                        point=point)
 
     def parse_expr(self, n: int) -> Polynomial:
-        result = self.parse_term(n)
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            term = self.parse_term(n)
-            result = result + term if op.kind == "+" else result - term
-        return result
+        # One dict collects the signed terms: no copy of the partial sum per term.
+        terms: dict[tuple[int, ...], Fraction] = {}
+        sign = 1
+        while True:
+            for exps, coeff in self.parse_term(n).terms():
+                terms[exps] = terms.get(exps, 0) + sign * coeff
+            if self.peek().kind not in ("+", "-"):
+                return Polynomial(n, terms)
+            sign = 1 if self.advance().kind == "+" else -1
 
     def parse_term(self, n: int) -> Polynomial:
         result = self.parse_factor(n)

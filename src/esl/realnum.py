@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -87,11 +87,15 @@ class SampleConfig:
 
 @dataclass
 class Histogram:
-    """Binned masses; edges strictly increasing, mass outside range allowed."""
+    """Binned masses; edges strictly increasing, mass outside range allowed.
+
+    histogram_log_abs also keeps the positive magnitudes it binned, ascending.
+    """
 
     edges: np.ndarray
     masses: np.ndarray
     total: float
+    magnitudes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=float)
@@ -242,19 +246,28 @@ def sample_pushforward(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
 def histogram_log_abs(values: np.ndarray, bins: int, lo: float | None = None,
                       hi: float | None = None) -> Histogram:
     """Histogram of |values| on log-spaced edges; zeros fall out of range."""
-    values = np.abs(np.asarray(values, dtype=float))
-    positive = values[values > 0]
+    values = np.asarray(values, dtype=float)
+    positive = _positive_magnitudes(values)
     if positive.size == 0:
         raise ValueError("no nonzero values to bin")
     if lo is None:
-        lo = float(positive.min()) * (1 - 1e-12)
+        lo = float(positive[0]) * (1 - 1e-12)
     if hi is None:
-        hi = float(positive.max()) * (1 + 1e-12)
+        hi = float(positive[-1]) * (1 + 1e-12)
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi for log-spaced edges")
     edges = np.geomspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(positive, bins=edges)
-    return Histogram(edges=edges, masses=counts / values.size, total=1.0)
+    # np.histogram's counts for non-uniform edges: every bin half-open but the last.
+    below = np.concatenate((positive.searchsorted(edges[:-1], side="left"),
+                            positive.searchsorted(edges[-1:], side="right")))
+    return Histogram(edges=edges, masses=np.diff(below) / values.size, total=1.0,
+                     magnitudes=positive)
+
+
+def _positive_magnitudes(values: np.ndarray) -> np.ndarray:
+    """The positive entries of |values|, in ascending order."""
+    magnitudes = np.abs(np.asarray(values, dtype=float))
+    return np.sort(magnitudes[magnitudes > 0])
 
 
 def histogram_uniform(values: np.ndarray, bins: int, lo: float, hi: float) -> Histogram:
@@ -277,8 +290,7 @@ def auto_tail_window(h: Histogram, values: np.ndarray,
     The asymptotic model holds as |y| -> 0, so the window hugs the small
     quantiles and excludes the bulk.
     """
-    magnitudes = np.abs(np.asarray(values, dtype=float))
-    magnitudes = magnitudes[magnitudes > 0]
+    magnitudes = h.magnitudes if h.magnitudes is not None else _positive_magnitudes(values)
     q_lo, q_hi = np.quantile(magnitudes, quantiles)
     i0 = int(np.searchsorted(h.edges, q_lo, side="left"))
     i1 = int(np.searchsorted(h.edges, q_hi, side="right")) - 1

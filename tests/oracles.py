@@ -1,9 +1,11 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's own solution paths: the LP oracle
-enumerates basic solutions instead of pivoting, the integral oracles use
-direct quadrature/series, the characteristic function is taken in
-complex128, the density oracle sums change-of-variables terms over exactly
+enumerates basic solutions instead of pivoting, the reference simplex
+pivots a tableau of Fraction entries instead of an integer one over a
+common denominator, the integral oracles use direct quadrature/series,
+the characteristic function is taken in complex128, the density oracle
+sums change-of-variables terms over exactly
 isolated real roots, the per-frequency Fourier kernel and the column-stacked
 sampler are the unblocked forms the library's buffered kernels must match
 bit for bit, the float evaluator multiplies Python floats term by term, the
@@ -26,6 +28,7 @@ from esl.lct import MonomialIdeal
 from esl.padic import BudgetExceededError, _integer_coefficient_terms
 from esl.polys import Polynomial, PolyMap, substitute_affine
 from esl.realnum import SHARD_SIZE, SampleConfig
+from esl.simplex import InfeasibleError, UnboundedError
 
 
 def solve_square_system(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -87,6 +90,109 @@ def lct_by_vertex_enumeration(ideal: MonomialIdeal) -> Fraction | None:
     if best is None or best == 0:
         return None
     return 1 / best
+
+
+def solve_min_fraction(cost, eq_matrix, eq_rhs) -> tuple[Fraction, list[Fraction]]:
+    """Two-phase Bland simplex on a dense tableau of Fraction entries.
+
+    The reference for simplex.solve_min: the same pivot rule, so the same
+    value, vertex and exception on every LP.
+    """
+    num_rows = len(eq_matrix)
+    num_cols = len(cost)
+    if any(len(row) != num_cols for row in eq_matrix) or len(eq_rhs) != num_rows:
+        raise ValueError("inconsistent LP dimensions")
+
+    # Normalize rows so every right-hand side is nonnegative.
+    rows = []
+    rhs = []
+    for row, b in zip(eq_matrix, eq_rhs):
+        row = [Fraction(v) for v in row]
+        b = Fraction(b)
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        rows.append(row)
+        rhs.append(b)
+
+    # Phase I tableau: original columns, then one artificial per row.
+    tableau = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(num_rows)] + [rhs[i]]
+               for i in range(num_rows)]
+    basis = [num_cols + i for i in range(num_rows)]
+    total_cols = num_cols + num_rows
+
+    phase1_cost = [Fraction(0)] * num_cols + [Fraction(1)] * num_rows
+    value = _run_fraction_simplex(tableau, basis, phase1_cost, total_cols)
+    if value != 0:
+        raise InfeasibleError("no feasible point")
+
+    # Drive any artificial variables still basic (at level 0) out of the basis.
+    for i, var in enumerate(basis):
+        if var < num_cols:
+            continue
+        pivot_col = next((j for j in range(num_cols) if tableau[i][j] != 0), None)
+        if pivot_col is None:
+            continue  # redundant row; harmless to keep
+        _fraction_pivot(tableau, basis, i, pivot_col)
+
+    # Phase II on the original columns only.
+    phase2_cost = [Fraction(v) for v in cost] + [Fraction(0)] * num_rows
+    value = _run_fraction_simplex(tableau, basis, phase2_cost, num_cols)
+
+    solution = [Fraction(0)] * num_cols
+    for i, var in enumerate(basis):
+        if var < num_cols:
+            solution[var] = tableau[i][-1]
+    return value, solution
+
+
+def _run_fraction_simplex(tableau, basis, cost, eligible_cols) -> Fraction:
+    """Iterate Bland-rule pivots until optimal; returns the objective value."""
+    num_rows = len(tableau)
+    while True:
+        # Reduced costs: c_j - c_B . B^{-1} A_j, computed from the tableau.
+        reduced = []
+        for j in range(eligible_cols):
+            r = cost[j]
+            for i in range(num_rows):
+                if cost[basis[i]] != 0:
+                    r -= cost[basis[i]] * tableau[i][j]
+            reduced.append(r)
+
+        entering = next((j for j in range(eligible_cols) if reduced[j] < 0), None)
+        if entering is None:
+            value = Fraction(0)
+            for i in range(num_rows):
+                if cost[basis[i]] != 0:
+                    value += cost[basis[i]] * tableau[i][-1]
+            return value
+
+        # Ratio test; Bland's rule breaks ties by smallest basis variable index.
+        leaving = None
+        best_ratio = None
+        for i in range(num_rows):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leaving]
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving is None:
+            raise UnboundedError("objective unbounded below")
+
+        _fraction_pivot(tableau, basis, leaving, entering)
+
+
+def _fraction_pivot(tableau, basis, row: int, col: int) -> None:
+    pivot = tableau[row][col]
+    tableau[row] = [v / pivot for v in tableau[row]]
+    for i in range(len(tableau)):
+        if i != row and tableau[i][col] != 0:
+            factor = tableau[i][col]
+            tableau[i] = [a - factor * b for a, b in zip(tableau[i], tableau[row])]
+    basis[row] = col
 
 
 def max_power_integral(s: float, eps: float, grid: int = 400) -> float:

@@ -268,6 +268,11 @@ class TestCommandLine:
         assert code == 2
         assert "line" in err
 
+    def test_parse_error_at_end_of_input_points_past_it(self, capsys):
+        code, _, err = run_cli(capsys, "exact", "map{n=1,m=1} f1=x1 +")
+        assert code == 2
+        assert "(line 1, column 21)" in err
+
     @pytest.mark.parametrize("spec, error", [
         # Tail window down to |y| = 2.6e-165: the products of bin edges
         # underflow, the edges themselves are normal doubles.

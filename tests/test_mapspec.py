@@ -66,6 +66,17 @@ class TestErrors:
             parse_map_spec("map{n=1,m=1}\nf1 = x1 + ")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, line, col", [
+        ("map{n=1,m=1} f1=x1 +", 1, 21),
+        ("map{n=1,m=1}\nf1 = x1 + ", 2, 11),
+        ("map{n=1,m=1}\nf1 = x1 +\n", 3, 1),
+    ])
+    def test_end_of_input_error_sits_past_the_last_character(self, text, line, col):
+        with pytest.raises(MapSpecError) as err:
+            parse_map_spec(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert f"end of input (line {line}, column {col})" in str(err.value)
+
     def test_duplicate_component(self):
         with pytest.raises(MapSpecError):
             parse_map_spec("map{n=1,m=1} f1 = x1 f1 = x1")

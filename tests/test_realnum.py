@@ -161,6 +161,25 @@ class TestHistogram:
         rows = h.to_csv_rows()
         assert len(rows) == 2 and abs(sum(r[2] for r in rows) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("power, bins", [(1, 7), (2, 128), (3, 200), (5, 33)])
+    def test_log_abs_matches_numpy_on_unsorted_input(self, power, bins):
+        rng = np.random.default_rng(power)
+        values = rng.standard_normal(20_001) ** power
+        values[::97] = 0.0
+        values[5::101] = np.round(values[5::101], 1)  # ties
+        h = histogram_log_abs(values, bins=bins)
+        positive = np.abs(values)[values != 0]
+        counts, _ = np.histogram(positive, bins=h.edges)
+        assert np.array_equal(h.masses, counts / values.size)
+        quantiles = (0.001, 0.05)
+        q_lo, q_hi = np.quantile(positive, quantiles)
+        window = (int(np.searchsorted(h.edges, q_lo, side="left")),
+                  int(np.searchsorted(h.edges, q_hi, side="right")) - 1)
+        assert auto_tail_window(h, values, quantiles) == window
+        # A histogram that does not carry the sorted magnitudes sorts the values itself.
+        bare = Histogram(edges=h.edges, masses=h.masses, total=h.total)
+        assert auto_tail_window(bare, values, quantiles) == window
+
 
 class TestLineFit:
     def test_exact_line_and_weights(self):
