@@ -106,9 +106,11 @@ class _Parser:
     def __init__(self, tokens: list[_Token], source: str):
         self.tokens = tokens
         self.pos = 0
-        # End of input sits one column past the last character of the last line.
-        self._eof = _Token("EOF", "", source.count("\n") + 1,
-                           len(source.rsplit("\n", 1)[-1]) + 1)
+        # End of input sits one column past the last character of the last line,
+        # lines split as _tokenize splits them; "$" marks the end, so a final
+        # line break still opens an empty last line.
+        lines = (source + "$").splitlines()
+        self._eof = _Token("EOF", "", len(lines), len(lines[-1]))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else self._eof

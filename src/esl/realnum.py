@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -87,15 +87,11 @@ class SampleConfig:
 
 @dataclass
 class Histogram:
-    """Binned masses; edges strictly increasing, mass outside range allowed.
-
-    histogram_log_abs also keeps the positive magnitudes it binned, ascending.
-    """
+    """Binned masses; edges strictly increasing, mass outside range allowed."""
 
     edges: np.ndarray
     masses: np.ndarray
     total: float
-    magnitudes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=float)
@@ -244,10 +240,11 @@ def sample_pushforward(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
 
 
 def histogram_log_abs(values: np.ndarray, bins: int, lo: float | None = None,
-                      hi: float | None = None) -> Histogram:
-    """Histogram of |values| on log-spaced edges; zeros fall out of range."""
-    values = np.asarray(values, dtype=float)
-    positive = _positive_magnitudes(values)
+                      hi: float | None = None) -> tuple[Histogram, np.ndarray]:
+    """Histogram of |values| on log-spaced edges, and the positive |values| it
+    binned, ascending; zeros fall out of range."""
+    values = np.abs(np.asarray(values, dtype=float))
+    positive = np.sort(values[values > 0])
     if positive.size == 0:
         raise ValueError("no nonzero values to bin")
     if lo is None:
@@ -260,14 +257,7 @@ def histogram_log_abs(values: np.ndarray, bins: int, lo: float | None = None,
     # np.histogram's counts for non-uniform edges: every bin half-open but the last.
     below = np.concatenate((positive.searchsorted(edges[:-1], side="left"),
                             positive.searchsorted(edges[-1:], side="right")))
-    return Histogram(edges=edges, masses=np.diff(below) / values.size, total=1.0,
-                     magnitudes=positive)
-
-
-def _positive_magnitudes(values: np.ndarray) -> np.ndarray:
-    """The positive entries of |values|, in ascending order."""
-    magnitudes = np.abs(np.asarray(values, dtype=float))
-    return np.sort(magnitudes[magnitudes > 0])
+    return Histogram(edges=edges, masses=np.diff(below) / values.size, total=1.0), positive
 
 
 def histogram_uniform(values: np.ndarray, bins: int, lo: float, hi: float) -> Histogram:
@@ -288,9 +278,12 @@ def auto_tail_window(h: Histogram, values: np.ndarray,
     """Bin index range covering |y| between the given sample quantiles.
 
     The asymptotic model holds as |y| -> 0, so the window hugs the small
-    quantiles and excludes the bulk.
+    quantiles and excludes the bulk. The positive magnitudes that
+    histogram_log_abs returns serve as values, and their order makes the
+    quantiles cheap.
     """
-    magnitudes = h.magnitudes if h.magnitudes is not None else _positive_magnitudes(values)
+    magnitudes = np.abs(np.asarray(values, dtype=float))
+    magnitudes = magnitudes[magnitudes > 0]
     q_lo, q_hi = np.quantile(magnitudes, quantiles)
     i0 = int(np.searchsorted(h.edges, q_lo, side="left"))
     i1 = int(np.searchsorted(h.edges, q_hi, side="right")) - 1

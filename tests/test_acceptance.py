@@ -82,7 +82,7 @@ def test_criterion_04_one_dimensional_real_numerics():
         start = time.perf_counter()
         cfg = realnum.SampleConfig.unit_box(seed=SEED, count=1_000_000, n=1)
         values = realnum.sample_pushforward(polys.PolyMap([x**d]), cfg)
-        hist = realnum.histogram_log_abs(values, bins=200)
+        hist, _ = realnum.histogram_log_abs(values, bins=200)
         fit = realnum.fit_tail_exponent(hist, realnum.auto_tail_window(hist, values))
         est = realnum.estimate_eps_star(fit)
         elapsed = time.perf_counter() - start
@@ -102,7 +102,7 @@ def test_criterion_05_fourier_decay_consistency():
     square = polys.PolyMap([x * x])
     cfg = realnum.SampleConfig.unit_box(seed=SEED, count=1_000_000, n=1)
     values = realnum.sample_pushforward(square, cfg)
-    hist = realnum.histogram_log_abs(values, bins=200)
+    hist, _ = realnum.histogram_log_abs(values, bins=200)
     fit = realnum.fit_tail_exponent(hist, realnum.auto_tail_window(hist, values))
     eps_hat = realnum.estimate_eps_star(fit).value
     decay = realnum.estimate_delta_star_1d(square, cfg, np.geomspace(10, 3000, 16))

@@ -70,6 +70,8 @@ class TestErrors:
         ("map{n=1,m=1} f1=x1 +", 1, 21),
         ("map{n=1,m=1}\nf1 = x1 + ", 2, 11),
         ("map{n=1,m=1}\nf1 = x1 +\n", 3, 1),
+        ("map{n=1,m=1}\rf1 = x1 +", 2, 10),
+        ("map{n=1,m=1}\r\nf1 = x1 +\u2028", 3, 1),
     ])
     def test_end_of_input_error_sits_past_the_last_character(self, text, line, col):
         with pytest.raises(MapSpecError) as err:
