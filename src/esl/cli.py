@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 
 from . import padic, report, suites
-from .mapspec import MapSpecError, parse_map_spec
+from .mapspec import parse_map_spec
+from .polys import ExponentOverflowError
 
 
 def _load_spec_text(argument: str) -> str:
@@ -113,7 +115,9 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `esl` parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="esl",
         description="Exact and empirical integrability exponents of pushforward "
@@ -155,14 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MapSpecError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, ExponentOverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ have identical canonical forms.  Everything here is immutable and pure.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -111,9 +112,6 @@ class Polynomial:
     def is_single_term(self) -> bool:
         return len(self._terms) == 1
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -198,23 +196,6 @@ class Polynomial:
             canonical = tuple((e, c) for e, c in self.terms())
             object.__setattr__(self, "_hash", hash((self.n, canonical)))
         return self._hash
-
-    # -- evaluation ---------------------------------------------------
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact evaluation at a rational point."""
-        if len(point) != self.n:
-            raise ValueError(f"point has dimension {len(point)}, expected {self.n}")
-        point = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            value = coeff
-            for x, e in zip(point, exps):
-                if e:
-                    value *= x**e
-            total += value
-        return total
-
 
     # -- printing -----------------------------------------------------
 
@@ -415,13 +396,30 @@ def substitute_affine(terms: Mapping[Exponents, Scalar], shift: Sequence[Scalar]
 
 
 def shift_to_origin(pmap: PolyMap, x0: Sequence[Scalar]) -> PolyMap:
-    """Recenter: z maps to f(x0 + z) - f(x0), which vanishes at z = 0."""
+    """Recenter: z maps to f(x0 + z) - f(x0), which vanishes at z = 0.
+
+    The shift runs on integers.  With q the lcm of the base point's
+    denominators and L that of a component's coefficients, the terms
+    L*c_e*q^(D - deg_s(e)) expand to L*q^D*f(x0 + z) under shift q*x0 and
+    scale q on the shifted axes (x0_i != 0).  deg_s and its maximum D count
+    only those axes, so a huge exponent where x0_i = 0 never meets q.
+    """
     if len(x0) != pmap.n:
         raise ValueError(f"base point has dimension {len(x0)}, expected {pmap.n}")
     x0 = [Fraction(v) for v in x0]
+    q = math.lcm(*(v.denominator for v in x0))
+    shift = [v.numerator * (q // v.denominator) for v in x0]
+    scale = [q if s else 1 for s in shift]
     components = []
     for comp in pmap.components:
-        terms = substitute_affine(comp._terms, x0)
-        terms.pop((0,) * pmap.n, None)
-        components.append(Polynomial(pmap.n, terms))
+        lcm = math.lcm(*(c.denominator for c in comp._terms.values()))
+        degrees = {e: sum(a for a, s in zip(e, shift) if s) for e in comp._terms}
+        top = max(degrees.values(), default=0)
+        terms = {e: c.numerator * (lcm // c.denominator) * q ** (top - degrees[e])
+                 for e, c in comp._terms.items()}
+        scaled = substitute_affine(terms, shift, scale)
+        scaled.pop((0,) * pmap.n, None)
+        denominator = lcm * q**top
+        components.append(Polynomial(pmap.n, {e: Fraction(v, denominator)
+                                              for e, v in scaled.items()}))
     return PolyMap(components)

@@ -11,7 +11,8 @@ sampler are the unblocked forms the library's buffered kernels must match
 bit for bit, the float evaluator multiplies Python floats term by term, the
 bump sampler draws a smooth compactly supported law by rejection, and the
 cylinder oracle enumerates all of (Z/p^k)^n afresh at every depth instead of
-lifting the solutions of the depth above.
+lifting the solutions of the depth above.  The reference shift recenters in
+Fraction arithmetic instead of clearing denominators first.
 Expected values asserted in the tests were computed (and are re-checked)
 with these.
 """
@@ -195,6 +196,38 @@ def _fraction_pivot(tableau, basis, row: int, col: int) -> None:
     basis[row] = col
 
 
+def evaluate_exact(p: Polynomial, point) -> Fraction:
+    """Exact value of p at a rational point, term by term."""
+    if len(point) != p.n:
+        raise ValueError(f"point has dimension {len(point)}, expected {p.n}")
+    point = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for exps, coeff in p.terms():
+        value = coeff
+        for x, e in zip(point, exps):
+            if e:
+                value *= x**e
+        total += value
+    return total
+
+
+def total_degree(p: Polynomial) -> int:
+    return max((sum(e) for e, _ in p.terms()), default=0)
+
+
+def shift_to_origin_fraction(pmap: PolyMap, x0) -> PolyMap:
+    """polys.shift_to_origin with the base point and every product in Fractions."""
+    if len(x0) != pmap.n:
+        raise ValueError(f"base point has dimension {len(x0)}, expected {pmap.n}")
+    x0 = [Fraction(v) for v in x0]
+    components = []
+    for comp in pmap.components:
+        terms = substitute_affine(dict(comp.terms()), x0)
+        terms.pop((0,) * pmap.n, None)
+        components.append(Polynomial(pmap.n, terms))
+    return PolyMap(components)
+
+
 def max_power_integral(s: float, eps: float, grid: int = 400) -> float:
     """Midpoint quadrature of max(x, y)^(-s) over [eps, 1]^2."""
     xs = np.geomspace(eps, 1.0, grid + 1)
@@ -300,7 +333,7 @@ class CriticalValueError(ValueError):
 
 
 def _poly_coeff_list(p: Polynomial) -> list[Fraction]:
-    coeffs = [Fraction(0)] * (p.total_degree() + 1)
+    coeffs = [Fraction(0)] * (total_degree(p) + 1)
     for exps, coeff in p.terms():
         coeffs[exps[0]] = coeff
     return coeffs

@@ -7,7 +7,7 @@ from functools import partial
 import jsonschema
 import pytest
 
-from esl import padic, polys, realnum, simplex
+from esl import cli, padic, polys, realnum, report, simplex
 from esl.cli import main
 from esl.mapspec import parse_map_spec
 from esl.report import exact_report, padic_report, real_report, report_schema
@@ -267,6 +267,31 @@ class TestCommandLine:
         code, _, err = run_cli(capsys, "exact", "map{n=1,m=1} f1 = x1^-1")
         assert code == 2
         assert "line" in err
+
+    def test_exponent_overflow_is_one_error_line(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "map{n=1,m=1} f1=x1^2147483648")
+        assert (code, out, err) == (2, "", "error: exponent 2147483648 exceeds 2147483647\n")
+
+    def test_parser_is_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        run_cli(capsys, "exact", "map{n=1,m=1} f1=x1^2")
+        run_cli(capsys, "exact", "map{n=1,m=1} f1=x1^3")
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_shared_parser_gives_each_call_its_own_defaults(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(report, "padic_report",
+                            lambda spec, **kwargs: calls.append(kwargs) or ({}, None))
+        monkeypatch.setattr(report, "real_report", lambda spec, **kwargs: calls.append(kwargs)
+                            or ({"comparison": {"verdict": "PASS"}}, None))
+        code, out, _ = run_cli(capsys, "padic", "map{n=1,m=1} f1=x1", "-p", "3", "-k", "2",
+                               "--cell-budget", "5", "--out", str(tmp_path / "padic.json"))
+        assert (code, out) == (0, "")
+        code, out, _ = run_cli(capsys, "real", "map{n=1,m=1} f1=x1", "--seed", "4")
+        assert (code, json.loads(out)) == (0, {"comparison": {"verdict": "PASS"}})
+        assert calls == [{"p": 3, "k_max": 2, "cell_budget": 5},
+                         {"samples": 1_000_000, "seed": 4, "bins": 200, "density_weights": None}]
 
     def test_parse_error_at_end_of_input_points_past_it(self, capsys):
         code, _, err = run_cli(capsys, "exact", "map{n=1,m=1} f1=x1 +")

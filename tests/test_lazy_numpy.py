@@ -23,10 +23,10 @@ LAYERS = ("cli", "mapspec", "report", "suites", "polys", "lct", "simplex",
           "exponents", "realnum", "padic")
 
 
-def run_python(tmp_path, *args: str) -> subprocess.CompletedProcess:
+def run_python(tmp_path, *args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=tmp_path, capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+                          text=True, timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_exact_and_verify_never_load_numpy(tmp_path):

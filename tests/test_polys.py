@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 from fractions import Fraction
@@ -19,6 +20,9 @@ from esl.polys import (
     shift_to_origin,
     substitute_affine,
 )
+
+from .oracles import evaluate_exact, shift_to_origin_fraction
+from .test_lazy_numpy import run_python
 
 
 def var(n, i):
@@ -174,9 +178,19 @@ class TestMonomialIdealBridge:
         assert ideal.generators
 
 
+def shift_cases(n):
+    """(map, base point) in n variables: rational coefficients, constant
+    components, and rational, integer or zero base coordinates."""
+    constant = coefficients.map(lambda c: Polynomial.constant(n, c))
+    components = st.lists(st.one_of(polynomials(n), constant), min_size=1, max_size=n)
+    coordinate = st.one_of(st.just(0), st.integers(-3, 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    return st.tuples(components.map(PolyMap), st.tuples(*[coordinate] * n).map(list))
+
+
 def evaluate(pmap, point):
     """Exact values of the map's components at a rational point."""
-    return [comp.evaluate(point) for comp in pmap.components]
+    return [evaluate_exact(comp, point) for comp in pmap.components]
 
 
 class TestEvaluateAndShift:
@@ -189,7 +203,7 @@ class TestEvaluateAndShift:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            var(2, 0).evaluate([1])
+            evaluate_exact(var(2, 0), [1])
 
     def test_shift_examples(self):
         x = var(1, 0)
@@ -215,9 +229,29 @@ class TestEvaluateAndShift:
     def test_shift_matches_pointwise_evaluation(self, p, x0, z):
         pmap = PolyMap([p, var(2, 0)])
         shifted = shift_to_origin(pmap, list(x0))
-        direct = [c.evaluate([x0[0] + z[0], x0[1] + z[1]]) - c.evaluate(list(x0))
+        direct = [evaluate_exact(c, [x0[0] + z[0], x0[1] + z[1]]) - evaluate_exact(c, list(x0))
                   for c in pmap.components]
         assert evaluate(shifted, list(z)) == direct
+
+    @given(st.integers(1, 3).flatmap(shift_cases))
+    def test_integer_shift_matches_fraction_reference(self, case):
+        pmap, x0 = case
+        assert shift_to_origin(pmap, x0) == shift_to_origin_fraction(pmap, x0)
+
+    def test_zero_shift_axis_keeps_scale_one(self, tmp_path):
+        # In a fresh interpreter with a deadline: this takes about 0.2 s, but
+        # scaling the zero-shift axis by q = 2 as well works with powers of 2
+        # near 2^(2^31) and takes about 40 s on 2 cores.
+        script = (
+            "from fractions import Fraction\n"
+            "from esl.polys import MAX_EXPONENT, PolyMap, Polynomial, shift_to_origin\n"
+            "pmap = PolyMap([Polynomial.monomial(2, (MAX_EXPONENT, 1))])\n"
+            "[p] = shift_to_origin(pmap, [0, Fraction(1, 2)]).components\n"
+            "print(sorted((e, c.numerator, c.denominator) for e, c in p.terms()))\n")
+        result = run_python(tmp_path, "-c", script, timeout=5)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert ast.literal_eval(result.stdout) == [((MAX_EXPONENT, 0), 1, 2),
+                                                   ((MAX_EXPONENT, 1), 1, 1)]
 
 
 def expand_affine(p, shift, scale):
