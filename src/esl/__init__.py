@@ -48,6 +48,7 @@ from .polys import (
     NotMonomialError,
     PolyMap,
     Polynomial,
+    ShiftBudgetError,
     as_monomial_ideal,
     jacobian_matrix,
     jacobian_minors,

@@ -3,8 +3,8 @@
 Draws samples from monomial-weighted measures on a box, pushes them through
 a polynomial map, and estimates the singularity exponents empirically: the
 tail exponent of the pushforward density (against the power-times-log
-asymptotic model near the critical value), the Fourier-decay exponent, the
-small-ball slope, and histogram convolution powers.
+asymptotic model near the critical value), the Fourier-decay exponent and
+the small-ball slope.
 
 Determinism: all sampling is sharded with seeds base_seed + shard_index and
 fixed shard size, so a given SampleConfig produces a bit-identical stream on
@@ -13,7 +13,9 @@ evaluates one draw, integer powers as square-and-multiply float products;
 the Fourier estimate reuses its first half plus that half's antithetic
 mirror, with float32 cos/sin of float64-reduced phases summed in float64
 block by block in reused buffers, chained to equal one whole-array sum
-(1e-9 from complex128; noise floor 10/sqrt(N)).  One weighted line fit,
+(1e-9 from complex128; noise floor 10/sqrt(N)).  The frequencies are split
+across the available cores, each frequency's sums chained as on one core,
+so the result does not depend on the core count.  One weighted line fit,
 fit_line, and one log-power selector, fit_log_power, serve every exponent
 fit here and the depth fits in padic.
 """
@@ -21,6 +23,7 @@ fit here and the depth fits in padic.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -31,15 +34,11 @@ from .polys import PolyMap
 
 SHARD_SIZE = 1 << 18
 # A multiple of numpy's 8192-element reduce buffer: chained block sums equal one whole-array sum.
-BLOCK = 1 << 14
+BLOCK = 1 << 16
 
 
 class ZeroMassBoxError(ValueError):
     """The sampling box is degenerate (an axis interval has no length)."""
-
-
-class GridTooCoarseError(ValueError):
-    """Histogram grid cannot support the requested convolution."""
 
 
 class ValueUnderflowError(ValueError):
@@ -110,10 +109,6 @@ class Histogram:
     @property
     def densities(self) -> np.ndarray:
         return self.masses / self.widths
-
-    @property
-    def out_of_range(self) -> float:
-        return self.total - float(self.masses.sum())
 
     def to_csv_rows(self) -> list[tuple[float, float, float]]:
         return [
@@ -225,15 +220,6 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_pushforward(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
-    """I.i.d. pushforward values phi(X); one-dimensional targets only."""
-    if pmap.m != 1:
-        raise ValueError("pushforward sampling is implemented for one-dimensional targets")
-    if len(cfg.box) != pmap.n:
-        raise ValueError("box dimension must match the map's source dimension")
-    return evaluate_array(pmap, sample_source(cfg))[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # histograms
 # ---------------------------------------------------------------------------
@@ -258,14 +244,6 @@ def histogram_log_abs(values: np.ndarray, bins: int, lo: float | None = None,
     below = np.concatenate((positive.searchsorted(edges[:-1], side="left"),
                             positive.searchsorted(edges[-1:], side="right")))
     return Histogram(edges=edges, masses=np.diff(below) / values.size, total=1.0), positive
-
-
-def histogram_uniform(values: np.ndarray, bins: int, lo: float, hi: float) -> Histogram:
-    """Histogram on a uniform grid [lo, hi]; suitable for convolution."""
-    values = np.asarray(values, dtype=float)
-    edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    return Histogram(edges=edges, masses=counts / values.size, total=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +387,9 @@ def estimate_eps_star(fit: ExponentFit) -> EpsEstimate:
 SUPERPOLYNOMIAL_SLOPE = 1.5
 
 
-def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    # Bound |t*y| below the double range, so that neither t*y nor its
-    # reduction overflows; phases that large are unresolvable all the same.
-    # The check allocates nothing, and only such rare values pay for a copy.
-    limit = np.finfo(float).max / (8 * np.max(np.abs(t_grid)))
-    if values.max() > limit or values.min() < -limit:
-        values = np.clip(values, -limit, limit)
-    sums = np.zeros((len(t_grid), 2))
-    scratch, scratch32 = np.empty((2, BLOCK)), np.empty((2, BLOCK), np.float32)
+def _chained_sums(values: np.ndarray, t_grid: np.ndarray, sums: np.ndarray,
+                  scratch: np.ndarray, scratch32: np.ndarray) -> None:
+    """Add the cos and sin sums of t*values into sums, one row per t, block by block."""
     for start in range(0, len(values), BLOCK):
         block = values[start:start + BLOCK]
         (ph, tu), (ph32, tr) = scratch[:, :len(block)], scratch32[:, :len(block)]
@@ -428,6 +400,35 @@ def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndar
             ph32[...] = np.clip(ph, -np.pi, np.pi, out=ph)
             sums[i, 0] = np.add.reduce(np.cos(ph32, out=tr), dtype=np.float64, initial=sums[i, 0])
             sums[i, 1] = np.add.reduce(np.sin(ph32, out=tr), dtype=np.float64, initial=sums[i, 1])
+
+
+def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+    # Bound |t*y| below the double range, so that neither t*y nor its
+    # reduction overflows; phases that large are unresolvable all the same.
+    # The check allocates nothing, and only such rare values pay for a copy.
+    limit = np.finfo(float).max / (8 * np.max(np.abs(t_grid)))
+    if values.max() > limit or values.min() < -limit:
+        values = np.clip(values, -limit, limit)
+    # Worker k sums the frequencies t_grid[k::workers] over every block in
+    # order, so each frequency's sums chain exactly as on one core.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cores or 1, len(t_grid))
+    sums = np.zeros((len(t_grid), 2))
+    jobs = [(values, t_grid[k::workers], sums[k::workers],
+             np.empty((2, BLOCK)), np.empty((2, BLOCK), np.float32)) for k in range(workers)]
+    if workers == 1:
+        _chained_sums(*jobs[0])
+    else:
+        import contextvars
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Threads start in an empty context; each worker runs in a copy of the
+        # caller's, so it keeps the caller's numpy errstate.
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, _chained_sums, *job)
+                       for job in jobs]
+            for future in futures:
+                future.result()
     return np.array([math.hypot(c / len(values), s / len(values)) for c, s in sums])
 
 
@@ -439,6 +440,8 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
     the first count//2 points of cfg's stream and their mirrors in the box.
     drawn = (sample_source(cfg), pmap's values on it) reuses a caller's draw,
     so only the mirror is evaluated; without it the half stream is drawn.
+    The mirror is written over the drawn points: drawn's first count//2
+    points are overwritten.
     The decay exponent is the negative slope of log-magnitude against
     log-frequency on the window where the signal exceeds the Monte Carlo
     noise floor.  One-dimensional targets only.
@@ -464,7 +467,7 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
         base, base_values = drawn[0][:half], drawn[1][:half]
     lo = np.array([float(b[0]) for b in cfg.box])
     hi = np.array([float(b[1]) for b in cfg.box])
-    mirrored = lo + hi - base  # antithetic partner within the box
+    mirrored = np.subtract(lo + hi, base, out=base)  # antithetic partner within the box
     values = np.empty(2 * half)
     values[:half], values[half:] = base_values, evaluate_array(pmap, mirrored)[:, 0]
     t_range = (float(t_grid[0]), float(t_grid[-1]))
@@ -489,51 +492,6 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
         # report the smooth-regime sentinel (meaning "at least 2").
         return FourierDecayFit(max(delta, 2.0), se, t_range, flag="superpolynomial")
     return FourierDecayFit(delta, se, t_range)
-
-
-# ---------------------------------------------------------------------------
-# convolution powers
-# ---------------------------------------------------------------------------
-
-
-def convolution_power(h: Histogram, k: int) -> Histogram:
-    """k-fold self-convolution of a uniform-grid histogram via padded FFT.
-
-    Mass is preserved up to 1e-9 relative (verified); the output grid keeps
-    the bin width, with support expanded k-fold.
-    """
-    if k < 1:
-        raise ValueError("convolution power must be >= 1")
-    widths = np.diff(h.edges)
-    width = widths[0]
-    if not np.allclose(widths, width, rtol=1e-9, atol=0):
-        raise GridTooCoarseError("convolution requires a uniform grid")
-    if int((h.masses > 0).sum()) < 2 and k > 1:
-        raise GridTooCoarseError("histogram support too small to convolve")
-    if k == 1:
-        return Histogram(edges=h.edges.copy(), masses=h.masses.copy(), total=h.total)
-
-    L = len(h.masses)
-    out_len = k * (L - 1) + 1
-    pad = 1
-    while pad < out_len + 1:
-        pad <<= 1
-    spectrum = np.fft.rfft(h.masses, n=pad) ** k
-    conv = np.fft.irfft(spectrum, n=pad)[:out_len]
-    conv = np.where(np.abs(conv) < 1e-15, 0.0, conv)
-    if (conv < -1e-12).any():
-        raise GridTooCoarseError("aliasing detected in convolution output")
-    conv = np.clip(conv, 0.0, None)
-
-    in_mass = float(h.masses.sum())
-    expected = in_mass**k
-    if expected > 0 and abs(float(conv.sum()) - expected) > 1e-9 * max(expected, 1.0):
-        raise GridTooCoarseError("convolution failed to preserve mass")
-
-    lo = float(h.edges[0])
-    start = k * lo + (k - 1) / 2 * width
-    edges = start + width * np.arange(out_len + 1)
-    return Histogram(edges=edges, masses=conv, total=h.total**k)
 
 
 # ---------------------------------------------------------------------------

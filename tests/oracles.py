@@ -12,7 +12,9 @@ bit for bit, the float evaluator multiplies Python floats term by term, the
 bump sampler draws a smooth compactly supported law by rejection, and the
 cylinder oracle enumerates all of (Z/p^k)^n afresh at every depth instead of
 lifting the solutions of the depth above.  The reference shift recenters in
-Fraction arithmetic instead of clearing denominators first.
+Fraction arithmetic instead of clearing denominators first.  The pushforward
+sampler, the uniform histogram and its FFT convolution powers have no caller
+in the package; the tests and acceptance criteria use them as tools.
 Expected values asserted in the tests were computed (and are re-checked)
 with these.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from esl.lct import MonomialIdeal
 from esl.padic import BudgetExceededError, _integer_coefficient_terms
 from esl.polys import Polynomial, PolyMap, substitute_affine
-from esl.realnum import SHARD_SIZE, SampleConfig
+from esl.realnum import SHARD_SIZE, Histogram, SampleConfig, evaluate_array, sample_source
 from esl.simplex import InfeasibleError, UnboundedError
 
 
@@ -321,6 +323,77 @@ def sample_source_stacked(cfg: SampleConfig) -> np.ndarray:
             inverse_power_cdf(u[:, axis], float(lo), float(hi), weights[axis])
             for axis, (lo, hi) in enumerate(cfg.box)]))
     return np.concatenate(shards)
+
+
+def sample_pushforward(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
+    """I.i.d. pushforward values phi(X); one-dimensional targets only."""
+    if pmap.m != 1:
+        raise ValueError("pushforward sampling is implemented for one-dimensional targets")
+    if len(cfg.box) != pmap.n:
+        raise ValueError("box dimension must match the map's source dimension")
+    return evaluate_array(pmap, sample_source(cfg))[:, 0]
+
+
+def out_of_range(h: Histogram) -> float:
+    """The part of the histogram's total mass that no bin holds."""
+    return h.total - float(h.masses.sum())
+
+
+# ---------------------------------------------------------------------------
+# uniform histograms and their convolution powers
+# ---------------------------------------------------------------------------
+
+
+class GridTooCoarseError(ValueError):
+    """Histogram grid cannot support the requested convolution."""
+
+
+def histogram_uniform(values: np.ndarray, bins: int, lo: float, hi: float) -> Histogram:
+    """Histogram on a uniform grid [lo, hi]; suitable for convolution."""
+    values = np.asarray(values, dtype=float)
+    edges = np.linspace(lo, hi, bins + 1)
+    counts, _ = np.histogram(values, bins=edges)
+    return Histogram(edges=edges, masses=counts / values.size, total=1.0)
+
+
+def convolution_power(h: Histogram, k: int) -> Histogram:
+    """k-fold self-convolution of a uniform-grid histogram via padded FFT.
+
+    Mass is preserved up to 1e-9 relative (verified); the output grid keeps
+    the bin width, with support expanded k-fold.
+    """
+    if k < 1:
+        raise ValueError("convolution power must be >= 1")
+    widths = np.diff(h.edges)
+    width = widths[0]
+    if not np.allclose(widths, width, rtol=1e-9, atol=0):
+        raise GridTooCoarseError("convolution requires a uniform grid")
+    if int((h.masses > 0).sum()) < 2 and k > 1:
+        raise GridTooCoarseError("histogram support too small to convolve")
+    if k == 1:
+        return Histogram(edges=h.edges.copy(), masses=h.masses.copy(), total=h.total)
+
+    L = len(h.masses)
+    out_len = k * (L - 1) + 1
+    pad = 1
+    while pad < out_len + 1:
+        pad <<= 1
+    spectrum = np.fft.rfft(h.masses, n=pad) ** k
+    conv = np.fft.irfft(spectrum, n=pad)[:out_len]
+    conv = np.where(np.abs(conv) < 1e-15, 0.0, conv)
+    if (conv < -1e-12).any():
+        raise GridTooCoarseError("aliasing detected in convolution output")
+    conv = np.clip(conv, 0.0, None)
+
+    in_mass = float(h.masses.sum())
+    expected = in_mass**k
+    if expected > 0 and abs(float(conv.sum()) - expected) > 1e-9 * max(expected, 1.0):
+        raise GridTooCoarseError("convolution failed to preserve mass")
+
+    lo = float(h.edges[0])
+    start = k * lo + (k - 1) / 2 * width
+    edges = start + width * np.arange(out_len + 1)
+    return Histogram(edges=edges, masses=conv, total=h.total**k)
 
 
 # ---------------------------------------------------------------------------

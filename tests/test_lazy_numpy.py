@@ -46,6 +46,13 @@ def test_exact_and_verify_never_load_numpy(tmp_path):
     assert set(f"esl.{layer}" for layer in LAYERS) <= set(modules.split())
 
 
+def test_import_loads_neither_numpy_nor_the_thread_pool(tmp_path):
+    script = ("import sys, esl.cli\n"
+              "print([m for m in ('numpy._core', 'concurrent.futures') if m in sys.modules])\n")
+    child = run_python(tmp_path, "-c", script)
+    assert (child.returncode, child.stdout) == (0, "[]\n"), child.stderr
+
+
 @pytest.mark.parametrize("name", ["real-sum-of-squares", "padic-valuation"])
 def test_fresh_process_prints_the_golden_output(tmp_path, name):
     child = run_python(tmp_path, "-m", "esl.cli", *CASES[name])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from esl import polys
 from esl.polys import (
     ExponentOverflowError,
     MAX_EXPONENT,
@@ -13,6 +14,7 @@ from esl.polys import (
     NotMonomialError,
     PolyMap,
     Polynomial,
+    ShiftBudgetError,
     as_monomial_ideal,
     jacobian_matrix,
     jacobian_minors,
@@ -252,6 +254,15 @@ class TestEvaluateAndShift:
         assert (result.returncode, result.stderr) == (0, "")
         assert ast.literal_eval(result.stdout) == [((MAX_EXPONENT, 0), 1, 2),
                                                    ((MAX_EXPONENT, 1), 1, 1)]
+
+    def test_shift_budget_counts_terms_over_the_shifted_axes(self, monkeypatch):
+        monkeypatch.setattr(polys, "SHIFT_TERM_BUDGET", 12)
+        x1, x2 = var(2, 0), var(2, 1)
+        # x1^3*x2^2 expands to 4*3 = 12 terms at (1, 1), and x1 to 2 more.
+        assert len(shift_to_origin(PolyMap([x1**3 * x2**2]), [1, 1]).components[0]) == 11
+        assert len(shift_to_origin(PolyMap([x1**3 * x2**2 + x1]), [0, 1]).components[0]) == 4
+        with pytest.raises(ShiftBudgetError, match="shift term budget 12"):
+            shift_to_origin(PolyMap([x1**3 * x2**2 + x1]), [1, 1])
 
 
 def expand_affine(p, shift, scale):

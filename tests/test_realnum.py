@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -6,18 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from esl import realnum
 from esl.mapspec import parse_map_spec
 from esl.polys import Polynomial, PolyMap, shift_to_origin
 from esl.realnum import (
     BLOCK,
     SHARD_SIZE,
-    GridTooCoarseError,
     Histogram,
     SampleConfig,
     ZeroMassBoxError,
     _char_function_magnitudes,
     auto_tail_window,
-    convolution_power,
     estimate_delta_star_1d,
     estimate_eps_star,
     evaluate_array,
@@ -25,20 +26,23 @@ from esl.realnum import (
     fit_log_power,
     fit_tail_exponent,
     histogram_log_abs,
-    histogram_uniform,
-    sample_pushforward,
     sample_source,
     small_ball_slope,
 )
 from esl.report import DEFAULT_T_GRID
 from .oracles import (
     CriticalValueError,
+    GridTooCoarseError,
     bump_sample,
     char_function_magnitudes,
     char_function_magnitudes_per_frequency,
+    convolution_power,
     density_oracle_equidim_1d,
     evaluate_float,
     float_power,
+    histogram_uniform,
+    out_of_range,
+    sample_pushforward,
     sample_source_stacked,
 )
 
@@ -150,7 +154,7 @@ class TestHistogram:
     def test_mass_conservation(self):
         values = sample_pushforward(SQUARE, unit_cfg(200_000))
         h, _ = histogram_log_abs(values, bins=128)
-        assert abs(h.masses.sum() + h.out_of_range - 1.0) < 1e-12
+        assert abs(h.masses.sum() + out_of_range(h) - 1.0) < 1e-12
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(ValueError):
@@ -309,11 +313,28 @@ class TestFourierDecay:
         assert fit.flag == "superpolynomial"
         assert fit.delta_hat >= 2.0
 
+    def test_drawn_points_give_the_fit_of_a_copy(self):
+        pmap = shift_to_origin(parse_map_spec("map{n=2,m=1} f1=x1^2-x2^3").poly_map(), (0, 0))
+        cfg = SampleConfig(seed=SEED, count=100_001,
+                           box=((-1, 1), (Fraction(-1, 2), Fraction(3, 4))))
+        points = sample_source(cfg)
+        values = evaluate_array(pmap, points)[:, 0]
+        from_copy = estimate_delta_star_1d(pmap, cfg, DEFAULT_T_GRID, drawn=(points.copy(), values))
+        # The antithetic mirror is written over the drawn points.
+        assert estimate_delta_star_1d(pmap, cfg, DEFAULT_T_GRID, drawn=(points, values)) == from_copy
+        assert not np.array_equal(points, sample_source(cfg))
+        assert estimate_delta_star_1d(pmap, cfg, DEFAULT_T_GRID) == from_copy
+
     def test_wide_targets_rejected(self):
         pmap = PolyMap.identity(2)
         with pytest.raises(ValueError):
             estimate_delta_star_1d(pmap, SampleConfig.unit_box(seed=1, count=1000, n=2),
                                    [10.0, 100.0, 1000.0, 10000.0])
+
+
+def use_cores(monkeypatch, cores):
+    """Make the affinity lookup report the given number of usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
 
 class TestCharFunctionKernel:
@@ -336,14 +357,44 @@ class TestCharFunctionKernel:
             want = char_function_magnitudes(values, DEFAULT_T_GRID)
             assert np.max(np.abs(got - want)) <= 1e-7
 
-    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5,
+    @pytest.mark.parametrize("size", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5,
+                                      BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5,
                                       100_001, 1_000_000])
-    def test_blocked_sums_match_the_per_frequency_kernel(self, size):
+    def test_blocked_sums_match_the_per_frequency_kernel(self, size, monkeypatch):
         values = np.random.default_rng(size).standard_normal(size) ** 3
-        assert np.array_equal(_char_function_magnitudes(values, DEFAULT_T_GRID),
-                              char_function_magnitudes_per_frequency(values, DEFAULT_T_GRID))
+        want = char_function_magnitudes_per_frequency(values, DEFAULT_T_GRID)
+        threads = threading.active_count()
+        for cores in (1, 3):  # inline, then a pool that splits 16 frequencies 6/5/5
+            use_cores(monkeypatch, cores)
+            assert np.array_equal(_char_function_magnitudes(values, DEFAULT_T_GRID), want)
+            assert threading.active_count() == threads
 
-    def test_huge_phases_stay_finite(self):
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        ran_in = []
+
+        def failing(values, t_grid, *scratch):
+            ran_in.append(threading.current_thread())
+            if t_grid[0] == DEFAULT_T_GRID[1]:
+                raise ArithmeticError("the second worker failed")
+
+        monkeypatch.setattr(realnum, "_chained_sums", failing)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="the second worker failed"):
+            _char_function_magnitudes(np.ones(10), DEFAULT_T_GRID)
+        assert len(ran_in) == 2 and threading.main_thread() not in ran_in
+        assert threading.active_count() == threads
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        seen = []
+        monkeypatch.setattr(realnum, "_chained_sums", lambda *job: seen.append(np.geterr()["over"]))
+        with np.errstate(over="raise"):
+            _char_function_magnitudes(np.ones(10), DEFAULT_T_GRID)
+        assert seen == ["raise", "raise"]
+
+    def test_huge_phases_stay_finite(self, monkeypatch):
+        use_cores(monkeypatch, 2)
         values = np.array([1e300, -1e300, 0.0, 3.7e250, 0.0, -2e200, 1e17, 0.5, 1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
