@@ -419,9 +419,11 @@ def shift_to_origin(pmap: PolyMap, x0: Sequence[Scalar]) -> PolyMap:
     q = math.lcm(*(v.denominator for v in x0))
     shift = [v.numerator * (q // v.denominator) for v in x0]
     scale = [q if s else 1 for s in shift]
-    # A term with exponent e_i on each shifted axis expands to prod (e_i + 1) terms.
+    # A term with exponent e_i on each shifted axis expands to prod (e_i + 1)
+    # terms; a term that touches no shifted axis is copied, not expanded.
     expanded = sum(math.prod(e + 1 for e, s in zip(exps, shift) if s)
-                   for comp in pmap.components for exps in comp._terms)
+                   for comp in pmap.components for exps in comp._terms
+                   if any(e and s for e, s in zip(exps, shift)))
     if expanded > SHIFT_TERM_BUDGET:
         raise ShiftBudgetError(f"recentering would expand {expanded} terms, "
                                f"over the shift term budget {SHIFT_TERM_BUDGET}")

@@ -414,21 +414,19 @@ def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndar
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cores or 1, len(t_grid))
     sums = np.zeros((len(t_grid), 2))
+    width = min(BLOCK, len(values))
     jobs = [(values, t_grid[k::workers], sums[k::workers],
-             np.empty((2, BLOCK)), np.empty((2, BLOCK), np.float32)) for k in range(workers)]
-    if workers == 1:
-        _chained_sums(*jobs[0])
-    else:
-        import contextvars
-        from concurrent.futures import ThreadPoolExecutor
+             np.empty((2, width)), np.empty((2, width), np.float32)) for k in range(workers)]
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
 
-        # Threads start in an empty context; each worker runs in a copy of the
-        # caller's, so it keeps the caller's numpy errstate.
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(contextvars.copy_context().run, _chained_sums, *job)
-                       for job in jobs]
-            for future in futures:
-                future.result()
+    # Threads start in an empty context; each worker runs in a copy of the
+    # caller's, so it keeps the caller's numpy errstate.
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _chained_sums, *job)
+                   for job in jobs]
+        for future in futures:
+            future.result()
     return np.array([math.hypot(c / len(values), s / len(values)) for c, s in sums])
 
 

@@ -264,6 +264,17 @@ class TestEvaluateAndShift:
         with pytest.raises(ShiftBudgetError, match="shift term budget 12"):
             shift_to_origin(PolyMap([x1**3 * x2**2 + x1]), [1, 1])
 
+    def test_shift_budget_skips_terms_off_the_shifted_axes(self, monkeypatch):
+        monkeypatch.setattr(polys, "SHIFT_TERM_BUDGET", 12)
+        x1, x2 = var(2, 0), var(2, 1)
+        # 20 terms, over the budget, none of which the shift expands.
+        many = sum((x1**i * x2**j for i in range(1, 5) for j in range(1, 6)), Polynomial.zero(2))
+        assert shift_to_origin(PolyMap([many]), [0, 0]) == PolyMap([many])
+        # Off x1, each term x2^j is copied; x1 itself expands to 2 terms.
+        along = sum((x2**j for j in range(1, 21)), x1)
+        [shifted] = shift_to_origin(PolyMap([along]), [Fraction(1, 3), 0]).components
+        assert shifted == along
+
 
 def expand_affine(p, shift, scale):
     """Reference expansion of p(shift + scale*z) by Polynomial * and **."""

@@ -364,7 +364,7 @@ class TestCharFunctionKernel:
         values = np.random.default_rng(size).standard_normal(size) ** 3
         want = char_function_magnitudes_per_frequency(values, DEFAULT_T_GRID)
         threads = threading.active_count()
-        for cores in (1, 3):  # inline, then a pool that splits 16 frequencies 6/5/5
+        for cores in (1, 3):  # one worker, then three that split 16 frequencies 6/5/5
             use_cores(monkeypatch, cores)
             assert np.array_equal(_char_function_magnitudes(values, DEFAULT_T_GRID), want)
             assert threading.active_count() == threads
