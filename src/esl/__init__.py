@@ -64,6 +64,7 @@ from .lct import (
     lct_principal_monomial,
 )
 from .exponents import (
+    ExactInvariants,
     MonomialLocalModel,
     consistency_chain_check,
     delta_from_eps,

@@ -5,6 +5,12 @@ log-canonical threshold lct, the Fourier-decay exponent delta, and the
 minimal smoothing convolution power k.  All arithmetic here is exact
 rational; infinity is handled explicitly, never as a float.
 
+`ExactInvariants` runs the exact pipeline of a recentered map (Jacobian
+minors, monomial ideal, Jacobian and fiber thresholds, exponent) once, each
+stage on first read.  The exponent functions take thresholds, not maps, so
+the report builders and the verify suites read one record and never rerun
+the pipeline.
+
 Conventions used throughout:
 
 * one-dimensional formula: eps = lct/(1 - lct), infinite when lct >= 1;
@@ -18,15 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import polys
-from .lct import lct_monomial
+from .lct import MonomialIdeal, lct_monomial, lct_principal_monomial
 from .values import (
     INF,
     BoundKind,
     BoundedValue,
     ExponentValue,
     KStarBounds,
+    LctValue,
 )
 
 
@@ -85,29 +93,63 @@ def eps_monomial_model(model: MonomialLocalModel, density_positive_at_origin: bo
     Exact when the smooth density factor is nonzero at the origin, otherwise
     only a lower bound.
     """
-    c = model.threshold()
-    value = INF if c >= 1 else ExponentValue(c / (1 - c))
+    value = eps_from_lct(ExponentValue(model.threshold()))
     kind = BoundKind.EXACT if density_positive_at_origin else BoundKind.LOWER_BOUND
     return BoundedValue(value, kind)
 
 
-def eps_equidimensional(pmap: polys.PolyMap) -> BoundedValue:
-    """Exact integrability exponent of an equidimensional map at the origin.
-
-    Equals the threshold of the Jacobian-determinant ideal.  Requires the
-    determinant to be a monomial; otherwise resolution data is needed and
-    NotMonomialError propagates with that guidance.
-    """
-    if pmap.n != pmap.m:
-        raise ValueError("equidimensional formula needs matching dimensions")
-    ideal = polys.as_monomial_ideal(polys.jacobian_minors(pmap))
-    return BoundedValue(lct_monomial(ideal).value, BoundKind.EXACT)
+def eps_equidimensional(lct_jacobian: LctValue) -> BoundedValue:
+    """Exact exponent of an equidimensional map: its Jacobian-ideal threshold itself."""
+    return BoundedValue(lct_jacobian.value, BoundKind.EXACT)
 
 
-def eps_lower_bound(pmap: polys.PolyMap) -> BoundedValue:
+def eps_lower_bound(lct_jacobian: LctValue) -> BoundedValue:
     """Lower bound for the integrability exponent: the Jacobian-ideal threshold."""
-    ideal = polys.as_monomial_ideal(polys.jacobian_minors(pmap))
-    return BoundedValue(lct_monomial(ideal).value, BoundKind.LOWER_BOUND)
+    return BoundedValue(lct_jacobian.value, BoundKind.LOWER_BOUND)
+
+
+class ExactInvariants:
+    """The exact pipeline of a map already recentered at its base point.
+
+    Each field is computed once, on first read, by the function that a
+    report's provenance names, so reading eps_exact of a map with n > m = 1
+    takes no minors and solves no LP.  `ideal` holds the NotMonomialError or
+    NotLocallyDominantError instead when the minors raise one; the fields
+    that need the ideal are then None.
+    """
+
+    def __init__(self, pmap: polys.PolyMap):
+        self.pmap = pmap
+
+    @cached_property
+    def minors(self) -> list[polys.Polynomial]:
+        return polys.jacobian_minors(self.pmap)
+
+    @cached_property
+    def ideal(self) -> MonomialIdeal | polys.NotMonomialError | polys.NotLocallyDominantError:
+        try:
+            return polys.as_monomial_ideal(self.minors)
+        except (polys.NotMonomialError, polys.NotLocallyDominantError) as err:
+            return err
+
+    @cached_property
+    def lct_jacobian(self) -> LctValue | None:
+        return lct_monomial(self.ideal) if isinstance(self.ideal, MonomialIdeal) else None
+
+    @cached_property
+    def lct_fiber(self) -> LctValue | None:
+        """Threshold of the fiber when the map is a single term c*z^a (a != 0, m = 1)."""
+        comp = self.pmap.components[0]
+        exps = comp.terms()[0][0] if self.pmap.m == 1 and comp.is_single_term else ()
+        return lct_principal_monomial(exps) if any(exps) else None
+
+    @cached_property
+    def eps_exact(self) -> ExponentValue | None:
+        """The exponent itself when n = m (Jacobian threshold) or when the fiber
+        threshold is known (lct/(1-lct)); None otherwise."""
+        if self.pmap.n > self.pmap.m:
+            return None if self.lct_fiber is None else eps_from_lct(self.lct_fiber.value)
+        return None if self.lct_jacobian is None else eps_equidimensional(self.lct_jacobian).value
 
 
 def eps_upper_bound_complex(lct_jacobian: ExponentValue) -> ExponentValue | None:

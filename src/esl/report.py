@@ -14,9 +14,9 @@ from importlib import resources
 from typing import Sequence
 
 from . import exponents, padic, polys, realnum
-from .lct import lct_monomial, lct_principal_monomial
+from .lct import MonomialIdeal
 from .mapspec import MapSpec
-from .values import ExponentValue, FieldValidity, LctValue
+from .values import ExponentValue, FieldValidity
 
 SCHEMA = "esl-report/1"
 
@@ -27,14 +27,8 @@ def report_schema() -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _ev(value: ExponentValue) -> str:
-    return str(value)
-
-
 def _field(value, provenance: str, **extra) -> dict:
-    entry = {"value": value, "provenance": provenance}
-    entry.update(extra)
-    return entry
+    return {"value": value, "provenance": provenance, **extra}
 
 
 def _map_echo(spec: MapSpec) -> dict:
@@ -54,99 +48,72 @@ def _recentered(spec: MapSpec) -> polys.PolyMap:
     return polys.shift_to_origin(spec.poly_map(), point)
 
 
+_IDEAL_GUIDANCE = {
+    "NotMonomial": "a maximal minor is not a single term; supply log-resolution "
+                   "data (a_i, b_i) and use lct_from_resolution instead",
+    "NotLocallyDominant": "all maximal minors vanish identically; the map is not "
+                          "locally dominant near this point",
+}
+
+
 def exact_report(spec: MapSpec) -> dict:
     """Exact invariants of the map at its base point (default: origin).
 
-    Pipeline: recenter, take maximal minors of the differential, read them
-    as a monomial ideal, compute the Jacobian-ideal threshold, and derive
-    the integrability exponent (exact in the equidimensional and monomial
-    one-dimensional cases, two-sided bounds otherwise), the convolution
-    bracket, and the Fourier-decay exponent.
+    Serializes `exponents.ExactInvariants` of the recentered map: its
+    Jacobian minors, their monomial ideal, the Jacobian and fiber thresholds
+    and the exponent where it is exact.  The lower and upper bounds on the
+    exponent when n > m, the convolution bracket and the decay exponent
+    come from the functions their provenance names.
     """
-    return _exact_report(spec, _recentered(spec))
-
-
-def _fiber_exponent(shifted: polys.PolyMap) -> tuple[LctValue, ExponentValue] | None:
-    """Fiber threshold of a single term c*z^a (a != 0, m = 1) and its exponent lct/(1-lct)."""
-    comp = shifted.components[0]
-    exps = comp.terms()[0][0] if shifted.m == 1 and comp.is_single_term else ()
-    if not any(exps):
-        return None
-    lct_fiber = lct_principal_monomial(exps)
-    return lct_fiber, exponents.eps_from_lct(lct_fiber.value)
-
-
-def _exact_report(spec: MapSpec, shifted: polys.PolyMap) -> dict:
-    """exact_report of the map already shifted to its base point."""
     report: dict = {"schema": SCHEMA, "command": "exact", "map": _map_echo(spec), "notes": []}
     notes: list[str] = report["notes"]
+    inv = exponents.ExactInvariants(_recentered(spec))
+    report["jacobian_minors"] = [str(p) for p in inv.minors]
 
-    minors = polys.jacobian_minors(shifted)
-    report["jacobian_minors"] = [str(p) for p in minors]
-
-    try:
-        ideal = polys.as_monomial_ideal(minors)
-    except polys.NotMonomialError as err:
-        report["monomial_ideal"] = {
-            "error": "NotMonomial",
-            "generator_index": err.index,
-            "guidance": "a maximal minor is not a single term; supply log-resolution "
-                        "data (a_i, b_i) and use lct_from_resolution instead",
-        }
+    ideal = inv.ideal
+    if not isinstance(ideal, MonomialIdeal):
+        error = type(ideal).__name__.removesuffix("Error")
+        index = {"generator_index": ideal.index} if error == "NotMonomial" else {}
+        report["monomial_ideal"] = {"error": error, **index, "guidance": _IDEAL_GUIDANCE[error]}
         return report
-    except polys.NotLocallyDominantError:
-        report["monomial_ideal"] = {
-            "error": "NotLocallyDominant",
-            "guidance": "all maximal minors vanish identically; the map is not "
-                        "locally dominant near this point",
-        }
-        return report
-
     report["monomial_ideal"] = {"n": ideal.n, "generators": [list(g) for g in ideal.generators]}
 
-    lct_jac = lct_monomial(ideal)
-    report["lct_jacobian"] = _field(_ev(lct_jac.value), "lct_monomial",
+    lct_jac, lct_fiber, eps_exact = inv.lct_jacobian, inv.lct_fiber, inv.eps_exact
+    report["lct_jacobian"] = _field(str(lct_jac.value), "lct_monomial",
                                     field_validity=lct_jac.validity.value)
-
-    # Fiber threshold drives the exact one-dimensional formula.
-    lct_fiber, fiber_eps = _fiber_exponent(shifted) or (None, None)
     if lct_fiber is not None:
-        report["lct_fiber"] = _field(_ev(lct_fiber.value), "lct_principal_monomial",
+        report["lct_fiber"] = _field(str(lct_fiber.value), "lct_principal_monomial",
                                      field_validity=lct_fiber.validity.value)
 
     eps_section: dict = {}
-    eps_exact: ExponentValue | None = None
-    eps_lower: ExponentValue | None = None
     if spec.n == spec.m:
-        eps_exact = lct_jac.value
-        eps_section["exact"] = _field(_ev(eps_exact), "eps_equidimensional",
+        eps_section["exact"] = _field(str(eps_exact), "eps_equidimensional",
                                       field_validity=lct_jac.validity.value)
         notes.append("equidimensional map: exponent equals the Jacobian-ideal threshold")
-    elif lct_fiber is not None:
-        eps_exact = fiber_eps
-        eps_section["exact"] = _field(_ev(eps_exact), "eps_from_lct",
+    elif eps_exact is not None:
+        eps_section["exact"] = _field(str(eps_exact), "eps_from_lct",
                                       field_validity=lct_fiber.validity.value)
         notes.append("one-dimensional monomial target: exact formula lct/(1-lct) applies")
 
+    eps_lower = None
     if spec.n > spec.m:
-        eps_lower = lct_jac.value
-        eps_section["lower"] = _field(_ev(eps_lower), "eps_lower_bound",
+        eps_lower = exponents.eps_lower_bound(lct_jac).value
+        eps_section["lower"] = _field(str(eps_lower), "eps_lower_bound",
                                       field_validity=lct_jac.validity.value)
         upper = exponents.eps_upper_bound_complex(lct_jac.value)
         if upper is not None:
             validity = (FieldValidity.ALL_LOCAL_FIELDS if spec.m == 1
                         else FieldValidity.COMPLEX_ONLY)
-            eps_section["upper"] = _field(_ev(upper), "eps_upper_bound_complex",
+            eps_section["upper"] = _field(str(upper), "eps_upper_bound_complex",
                                           field_validity=validity.value)
         else:
             notes.append("Jacobian threshold >= 1: the upper-bound formula does not apply")
     report["eps"] = eps_section
 
     k_section: dict = {}
+    # eps_exact is known whenever n = m, and eps_lower whenever n > m.
     best_eps = eps_exact if eps_exact is not None else eps_lower
-    if best_eps is not None:
-        k_section["upper"] = _field(exponents.k_star_upper_from_eps(best_eps),
-                                    "k_star_upper_from_eps")
+    k_section["upper"] = _field(exponents.k_star_upper_from_eps(best_eps), "k_star_upper_from_eps")
     if lct_fiber is not None:
         bounds = exponents.k_star_bounds_from_lct(lct_fiber.value)
         k_section["bracket"] = _field([bounds.lower, bounds.upper], "k_star_bounds_from_lct",
@@ -156,10 +123,10 @@ def _exact_report(spec: MapSpec, shifted: polys.PolyMap) -> dict:
     if spec.m == 1 and eps_exact is not None:
         if eps_exact.is_infinite:
             delta = exponents.lct_from_eps(eps_exact)
-            report["delta"] = _field(_ev(delta.value), "lct_from_eps", kind=delta.kind.value)
+            report["delta"] = _field(str(delta.value), "lct_from_eps", kind=delta.kind.value)
             notes.append("infinite exponent only pins the decay exponent down to >= 1")
         else:
-            report["delta"] = _field(_ev(exponents.delta_from_eps(eps_exact)),
+            report["delta"] = _field(str(exponents.delta_from_eps(eps_exact)),
                                      "delta_from_eps", kind="exact")
     elif spec.m > 1:
         notes.append("decay exponent omitted: for higher-dimensional targets it depends "
@@ -177,7 +144,7 @@ DEFAULT_T_GRID = (
 )
 
 
-def _weighted_exact_eps(shifted: polys.PolyMap, weights: Sequence[int]) -> str | None:
+def _weighted_exact_eps(shifted: polys.PolyMap, weights: Sequence[int]) -> ExponentValue | None:
     """Exact exponent under the density prod |z_i|^{b_i}, known only for a
     single-term map c*z^a: the monomial local model on the axes with a_i > 0."""
     comp = shifted.components[0]
@@ -187,7 +154,7 @@ def _weighted_exact_eps(shifted: polys.PolyMap, weights: Sequence[int]) -> str |
     axes = [i for i, a in enumerate(exps) if a > 0]
     model = exponents.MonomialLocalModel(tuple(exps[i] for i in axes),
                                          tuple(weights[i] for i in axes))
-    return _ev(exponents.eps_monomial_model(model).value)
+    return exponents.eps_monomial_model(model).value
 
 
 def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
@@ -225,21 +192,16 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
 
     if any(cfg.density_weights or ()):
         exact_eps = _weighted_exact_eps(shifted, cfg.density_weights)
-    elif spec.n == spec.m:
-        exact_eps = _exact_report(spec, shifted).get("eps", {}).get("exact", {}).get("value")
-    else:  # n > m = 1: only the fiber threshold decides, so no Jacobian minors
-        fiber = _fiber_exponent(shifted)
-        exact_eps = _ev(fiber[1]) if fiber else None
+    else:
+        exact_eps = exponents.ExactInvariants(shifted).eps_exact
     comparison: dict = {}
     if exact_eps is not None:
-        comparison["exact_eps"] = exact_eps
-        if exact_eps == "inf":
-            passed = eps_est.infinite
-        elif eps_est.infinite:
-            passed = False
+        comparison["exact_eps"] = str(exact_eps)
+        if exact_eps.is_infinite or eps_est.infinite:
+            passed = exact_eps.is_infinite and eps_est.infinite
         else:
-            target = Fraction(exact_eps)
-            passed = abs(eps_est.value - float(target)) <= 0.15 * float(target)
+            target = float(exact_eps.fraction)
+            passed = abs(eps_est.value - target) <= 0.15 * target
         comparison["eps_within_15_percent"] = bool(passed)
         comparison["verdict"] = "PASS" if passed else "FAIL"
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exponents, padic, polys
-from .lct import lct_monomial, lct_principal_monomial
+from .lct import lct_principal_monomial
 from .values import ExponentValue
 
 
@@ -46,9 +46,7 @@ def howald_family() -> list[CheckResult]:
     rows = []
     for n in range(2, 6):
         for m in range(2, 7):
-            pmap = _product_power_map(n, m)
-            ideal = polys.as_monomial_ideal(polys.jacobian_minors(pmap))
-            got = lct_monomial(ideal).value
+            got = exponents.ExactInvariants(_product_power_map(n, m)).lct_jacobian.value
             expected = Fraction(n, n * m - 1)  # 1/(m - 1/n)
             ok = not got.is_infinite and got.fraction == expected
             rows.append(CheckResult(
@@ -79,7 +77,7 @@ def one_dim() -> list[CheckResult]:
     rows = []
     for d in range(2, 10):
         x = polys.Polynomial.variable(1, 0)
-        via_equidim = exponents.eps_equidimensional(polys.PolyMap([x**d])).value
+        via_equidim = exponents.ExactInvariants(polys.PolyMap([x**d])).eps_exact
         via_formula = exponents.eps_from_lct(lct_principal_monomial((d,)).value)
         ok = via_equidim == via_formula == ExponentValue(Fraction(1, d - 1))
         rows.append(CheckResult(
@@ -87,8 +85,7 @@ def one_dim() -> list[CheckResult]:
             ok, f"equidimensional {via_equidim}, formula {via_formula}"))
     for d in (2, 3):
         for m in (2, 3):
-            pmap = _stretch_family_map(d, m)
-            eps = exponents.eps_equidimensional(pmap).value
+            eps = exponents.ExactInvariants(_stretch_family_map(d, m)).eps_exact
             k_up = exponents.k_star_upper_from_eps(eps)
             ok = eps == ExponentValue(Fraction(1, d * m - 1)) and k_up == d * m + 1
             rows.append(CheckResult(
@@ -196,16 +193,14 @@ def chain() -> list[CheckResult]:
     rows = []
     for d in range(2, 10):
         x = polys.Polynomial.variable(1, 0)
-        grad_ideal = polys.as_monomial_ideal(polys.jacobian_minors(polys.PolyMap([x**d])))
-        lct_grad = lct_monomial(grad_ideal).value
+        lct_grad = exponents.ExactInvariants(polys.PolyMap([x**d])).lct_jacobian.value
         lct_f = lct_principal_monomial((d,)).value
         ok = exponents.consistency_chain_check(lct_grad, lct_f)
         rows.append(CheckResult("chain", f"x^{d}", ok,
                                 f"grad {lct_grad}, function {lct_f}"))
     for n in range(2, 5):
         for m in range(2, 7):
-            pmap = _product_power_map(n, m)
-            lct_grad = lct_monomial(polys.as_monomial_ideal(polys.jacobian_minors(pmap))).value
+            lct_grad = exponents.ExactInvariants(_product_power_map(n, m)).lct_jacobian.value
             lct_f = lct_principal_monomial((m,) * n).value
             ok = exponents.consistency_chain_check(lct_grad, lct_f)
             rows.append(CheckResult("chain", f"(x1...x{n})^{m}", ok,

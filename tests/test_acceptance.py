@@ -58,7 +58,8 @@ def test_criterion_02_sandwich_tightness_exact():
         true_eps = F(1, m - 1)
         upper = exponents.eps_upper_bound_complex(ExponentValue(lower))
         assert upper is not None
-        got_lower = exponents.eps_lower_bound(product_power_map(n, m)).value
+        got_lower = exponents.eps_lower_bound(
+            exponents.ExactInvariants(product_power_map(n, m)).lct_jacobian).value
         assert got_lower == ExponentValue(lower)
         via_formula = exponents.eps_from_lct(lct_principal_monomial((m,) * n).value)
         assert via_formula == ExponentValue(true_eps)
@@ -69,7 +70,8 @@ def test_criterion_02_sandwich_tightness_exact():
 
 def test_criterion_03_equidimensional_equality_exact():
     for d, m in itertools.product((2, 3), (2, 3)):
-        got = exponents.eps_equidimensional(stretch_map(d, m))
+        got = exponents.eps_equidimensional(
+            exponents.ExactInvariants(stretch_map(d, m)).lct_jacobian)
         assert got.value == ExponentValue(F(1, d * m - 1)), (d, m, got)
         k_upper = exponents.k_star_upper_from_eps(got.value)
         assert k_upper == d * m + 1, (d, m, k_upper)

@@ -1,5 +1,7 @@
 import csv
+import inspect
 import json
+import sys
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -7,12 +9,14 @@ from functools import partial
 import jsonschema
 import pytest
 
-from esl import cli, padic, polys, realnum, report, simplex
+from esl import cli, exponents, lct, padic, polys, realnum, report, simplex
 from esl.cli import main
+from esl.exponents import ExactInvariants
 from esl.mapspec import parse_map_spec
 from esl.report import exact_report, padic_report, real_report, report_schema
 
 from .oracles import out_of_range
+from .test_golden import CASES as GOLDEN_CASES
 from .test_lazy_numpy import run_python
 
 
@@ -100,6 +104,50 @@ class TestExactReports:
             assert "provenance" in entry
         for entry in report["k_bounds"].values():
             assert "provenance" in entry
+
+    def test_every_provenance_names_a_function_that_ran(self, monkeypatch):
+        # Every alias of each public function is patched, as perfbench's tracer
+        # does, so calls are seen whichever name the caller uses.
+        called: set[str] = set()
+        holders = [mod for name, mod in sys.modules.items()
+                   if mod is not None and (name == "esl" or name.startswith("esl."))]
+        for module in (exponents, lct):
+            for name, fn in list(vars(module).items()):
+                if name.startswith("_") or not inspect.isfunction(fn) \
+                        or fn.__module__ != module.__name__:
+                    continue
+                def spy(*args, _real=fn, _name=name, **kwargs):
+                    called.add(_name)
+                    return _real(*args, **kwargs)
+                for holder in holders:
+                    for alias, value in list(vars(holder).items()):
+                        if value is fn:
+                            monkeypatch.setattr(holder, alias, spy)
+
+        def provenances(node) -> list[str]:
+            if isinstance(node, dict):
+                own = [node["provenance"]] if "provenance" in node else []
+                return own + [p for value in node.values() for p in provenances(value)]
+            return [p for value in node for p in provenances(value)] \
+                if isinstance(node, list) else []
+
+        specs = [argv[1] for name, argv in GOLDEN_CASES.items() if name.startswith("exact-")]
+        specs += ["map{n=3,m=1} f1=x1^2*x2^2*x3^2", "map{n=2,m=2} f1=x1 f2=x2",
+                  "map{n=2,m=2} f1 = x1^2 + x2^3 f2 = x1*x2"]
+        seen: set[str] = set()
+        for text in specs:
+            called.clear()
+            named = provenances(exact_report(parse_map_spec(text)))
+            assert set(named) <= called, (text, set(named) - called)
+            seen.update(named)
+        assert {"eps_equidimensional", "eps_lower_bound", "eps_from_lct"} <= seen
+
+    @pytest.mark.parametrize("text", ["map{n=1,m=1} f1=x1^3", "map{n=2,m=1} f1=x1^2*x2^3"])
+    def test_real_reads_the_exact_exponent_of_the_record(self, text):
+        spec = parse_map_spec(text)
+        shifted = polys.shift_to_origin(spec.poly_map(), [0] * spec.n)
+        payload, _ = real_report(spec, samples=20_000, seed=1, bins=100)
+        assert payload["comparison"]["exact_eps"] == str(ExactInvariants(shifted).eps_exact)
 
 
 class TestRealReport:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from esl.exponents import (
+    ExactInvariants,
     MonomialLocalModel,
     consistency_chain_check,
     delta_from_eps,
@@ -104,25 +105,26 @@ class TestEquidimensionalAndBounds:
                     if j > 0:
                         exps[j] += 1
                     comps.append(Polynomial.monomial(m, tuple(exps)))
-                got = eps_equidimensional(PolyMap(comps))
+                got = eps_equidimensional(ExactInvariants(PolyMap(comps)).lct_jacobian)
                 assert got.value == ev(F(1, d * m - 1))
                 assert got.kind is BoundKind.EXACT
 
     def test_unit_jacobian_is_infinite(self):
-        assert eps_equidimensional(PolyMap.identity(3)).value.is_infinite
+        lct_jacobian = ExactInvariants(PolyMap.identity(3)).lct_jacobian
+        assert eps_equidimensional(lct_jacobian).value.is_infinite
 
     def test_perturbed_square_component(self):
         # (x, x^2 (1 + y^3)): determinant 3 x^2 y^2, threshold 1/2.
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         pmap = PolyMap([x, x * x * (1 + y**3)])
-        got = eps_equidimensional(pmap)
+        got = eps_equidimensional(ExactInvariants(pmap).lct_jacobian)
         assert got.value == ev(F(1, 2))
 
     def test_high_degree_perturbation(self):
         # (x, x^2 (1 + y^9)): determinant ~ x^2 y^8, exponent 1/8 exactly.
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         pmap = PolyMap([x, x * x * (1 + y**9)])
-        assert eps_equidimensional(pmap).value == ev(F(1, 8))
+        assert eps_equidimensional(ExactInvariants(pmap).lct_jacobian).value == ev(F(1, 8))
 
     def test_extreme_degree_is_exact_engine_territory(self):
         # (x, x^2 (1 + y^1000)) has exponent exactly 1/999 and a convolution
@@ -130,7 +132,7 @@ class TestEquidimensionalAndBounds:
         # certify symbolically.
         x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         pmap = PolyMap([x, x * x * (1 + y**1000)])
-        got = eps_equidimensional(pmap).value
+        got = eps_equidimensional(ExactInvariants(pmap).lct_jacobian).value
         assert got == ev(F(1, 999))
         assert k_star_upper_from_eps(got) == 1001
         assert delta_from_eps(got) == ev(F(1, 1000))
@@ -139,16 +141,16 @@ class TestEquidimensionalAndBounds:
         for n in (2, 3):
             for m in (2, 4):
                 pmap = PolyMap([Polynomial.monomial(n, (m,) * n)])
-                got = eps_lower_bound(pmap)
+                got = eps_lower_bound(ExactInvariants(pmap).lct_jacobian)
                 assert got.kind is BoundKind.LOWER_BOUND
                 assert got.value == ev(F(n, n * m - 1))
 
     def test_lower_bound_xy(self):
         pmap = PolyMap([Polynomial.variable(2, 0) * Polynomial.variable(2, 1)])
-        assert eps_lower_bound(pmap).value == ev(2)
+        assert eps_lower_bound(ExactInvariants(pmap).lct_jacobian).value == ev(2)
 
     def test_lower_bound_identity(self):
-        assert eps_lower_bound(PolyMap.identity(2)).value.is_infinite
+        assert eps_lower_bound(ExactInvariants(PolyMap.identity(2)).lct_jacobian).value.is_infinite
 
     def test_upper_bound_formula(self):
         for n in range(2, 6):
@@ -285,6 +287,6 @@ class TestEquidimensionalAgreesWithFormula:
     @pytest.mark.parametrize("d", range(2, 10))
     def test_univariate_power_maps(self, d):
         x = Polynomial.variable(1, 0)
-        via_jacobian = eps_equidimensional(PolyMap([x**d])).value
+        via_jacobian = eps_equidimensional(ExactInvariants(PolyMap([x**d])).lct_jacobian).value
         via_formula = eps_from_lct(lct_principal_monomial((d,)).value)
         assert via_jacobian == via_formula == ev(F(1, d - 1))
