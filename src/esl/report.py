@@ -48,11 +48,11 @@ def _recentered(spec: MapSpec) -> polys.PolyMap:
     return polys.shift_to_origin(spec.poly_map(), point)
 
 
-_IDEAL_GUIDANCE = {
-    "NotMonomial": "a maximal minor is not a single term; supply log-resolution "
-                   "data (a_i, b_i) and use lct_from_resolution instead",
-    "NotLocallyDominant": "all maximal minors vanish identically; the map is not "
-                          "locally dominant near this point",
+_IDEAL_ERRORS = {  # error class -> (report name, guidance)
+    polys.NotMonomialError: ("NotMonomial", "a maximal minor is not a single term; supply "
+                             "log-resolution data (a_i, b_i) and use lct_from_resolution instead"),
+    polys.NotLocallyDominantError: ("NotLocallyDominant", "all maximal minors vanish "
+                                    "identically; the map is not locally dominant near this point"),
 }
 
 
@@ -72,9 +72,9 @@ def exact_report(spec: MapSpec) -> dict:
 
     ideal = inv.ideal
     if not isinstance(ideal, MonomialIdeal):
-        error = type(ideal).__name__.removesuffix("Error")
+        error, guidance = _IDEAL_ERRORS[type(ideal)]
         index = {"generator_index": ideal.index} if error == "NotMonomial" else {}
-        report["monomial_ideal"] = {"error": error, **index, "guidance": _IDEAL_GUIDANCE[error]}
+        report["monomial_ideal"] = {"error": error, **index, "guidance": guidance}
         return report
     report["monomial_ideal"] = {"n": ideal.n, "generators": [list(g) for g in ideal.generators]}
 
