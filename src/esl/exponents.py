@@ -154,12 +154,8 @@ class ExactInvariants:
 
 def eps_upper_bound_complex(lct_jacobian: ExponentValue) -> ExponentValue | None:
     """Complex-field upper bound lam/(1-lam); inapplicable once lam >= 1."""
-    if not lct_jacobian.is_infinite and lct_jacobian.fraction <= 0:
-        raise ValueError("threshold must be strictly positive")
-    if lct_jacobian.is_infinite or lct_jacobian.fraction >= 1:
-        return None
-    lam = lct_jacobian.fraction
-    return ExponentValue(lam / (1 - lam))
+    upper = eps_from_lct(lct_jacobian)
+    return None if upper.is_infinite else upper
 
 
 def _young_s(e: ExponentValue) -> Fraction:
@@ -233,10 +229,7 @@ def eps_from_delta(d: ExponentValue) -> ExponentValue:
     """Integrability exponent from Fourier decay: d/(1-d), infinite at d >= 1."""
     if not d.is_infinite and d.fraction <= 0:
         raise ValueError("decay exponent must be strictly positive")
-    if d.is_infinite or d.fraction >= 1:
-        return INF
-    d_frac = d.fraction
-    return ExponentValue(d_frac / (1 - d_frac))
+    return eps_from_lct(d)
 
 
 def consistency_chain_check(lct_grad: ExponentValue, lct_f: ExponentValue) -> bool:

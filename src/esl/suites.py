@@ -46,7 +46,8 @@ def howald_family() -> list[CheckResult]:
     rows = []
     for n in range(2, 6):
         for m in range(2, 7):
-            got = exponents.ExactInvariants(_product_power_map(n, m)).lct_jacobian.value
+            inv = exponents.ExactInvariants(_product_power_map(n, m))
+            got = inv.lct_jacobian.value
             expected = Fraction(n, n * m - 1)  # 1/(m - 1/n)
             ok = not got.is_infinite and got.fraction == expected
             rows.append(CheckResult(
@@ -55,8 +56,7 @@ def howald_family() -> list[CheckResult]:
 
             lower = got.fraction
             upper = exponents.eps_upper_bound_complex(ExponentValue(lower))
-            true_eps = exponents.eps_from_lct(
-                lct_principal_monomial((m,) * n).value)
+            true_eps = inv.eps_exact  # the fiber formula, since n > m = 1
             sandwich = (
                 upper is not None
                 and not true_eps.is_infinite
@@ -190,21 +190,16 @@ def young_algebra() -> list[CheckResult]:
 
 def chain() -> list[CheckResult]:
     """Gradient-vs-function threshold consistency across the exact corpus."""
+    x = polys.Polynomial.variable(1, 0)
+    maps = [(f"x^{d}", polys.PolyMap([x**d])) for d in range(2, 10)]
+    maps += [(f"(x1...x{n})^{m}", _product_power_map(n, m))
+             for n in range(2, 5) for m in range(2, 7)]
     rows = []
-    for d in range(2, 10):
-        x = polys.Polynomial.variable(1, 0)
-        lct_grad = exponents.ExactInvariants(polys.PolyMap([x**d])).lct_jacobian.value
-        lct_f = lct_principal_monomial((d,)).value
+    for name, pmap in maps:
+        inv = exponents.ExactInvariants(pmap)
+        lct_grad, lct_f = inv.lct_jacobian.value, inv.lct_fiber.value
         ok = exponents.consistency_chain_check(lct_grad, lct_f)
-        rows.append(CheckResult("chain", f"x^{d}", ok,
-                                f"grad {lct_grad}, function {lct_f}"))
-    for n in range(2, 5):
-        for m in range(2, 7):
-            lct_grad = exponents.ExactInvariants(_product_power_map(n, m)).lct_jacobian.value
-            lct_f = lct_principal_monomial((m,) * n).value
-            ok = exponents.consistency_chain_check(lct_grad, lct_f)
-            rows.append(CheckResult("chain", f"(x1...x{n})^{m}", ok,
-                                    f"grad {lct_grad}, function {lct_f}"))
+        rows.append(CheckResult("chain", name, ok, f"grad {lct_grad}, function {lct_f}"))
     return rows
 
 
