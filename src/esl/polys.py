@@ -18,9 +18,11 @@ Exponents = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 MAX_EXPONENT = 2**31 - 1
-# Terms that recentering may expand, summed over the map's terms; the
-# largest benchmark map, x1^100 expanded around a nonzero point, takes 5,151.
+# Terms that recentering may expand, and the bits of their coefficients,
+# summed over the map's terms.  The largest benchmark map, x1^100 expanded
+# around a nonzero integer point, takes 5,150 terms and 686,800 bits.
 SHIFT_TERM_BUDGET = 100_000
+SHIFT_BIT_BUDGET = 100_000_000
 
 
 class ExponentOverflowError(OverflowError):
@@ -28,7 +30,8 @@ class ExponentOverflowError(OverflowError):
 
 
 class ShiftBudgetError(ValueError):
-    """Recentering would expand more terms than SHIFT_TERM_BUDGET."""
+    """Recentering would expand more terms than SHIFT_TERM_BUDGET, or
+    coefficients of more bits in all than SHIFT_BIT_BUDGET."""
 
 
 class NotMonomialError(ValueError):
@@ -411,7 +414,7 @@ def shift_to_origin(pmap: PolyMap, x0: Sequence[Scalar]) -> PolyMap:
     scale q on the shifted axes (x0_i != 0).  deg_s and its maximum D count
     only those axes, so a huge exponent where x0_i = 0 never meets q.
     Raises ShiftBudgetError before expanding anything when the expansion
-    would exceed SHIFT_TERM_BUDGET terms.
+    would exceed SHIFT_TERM_BUDGET terms or SHIFT_BIT_BUDGET coefficient bits.
     """
     if len(x0) != pmap.n:
         raise ValueError(f"base point has dimension {len(x0)}, expected {pmap.n}")
@@ -420,13 +423,21 @@ def shift_to_origin(pmap: PolyMap, x0: Sequence[Scalar]) -> PolyMap:
     shift = [v.numerator * (q // v.denominator) for v in x0]
     scale = [q if s else 1 for s in shift]
     # A term with exponent e_i on each shifted axis expands to prod (e_i + 1)
-    # terms; a term that touches no shifted axis is copied, not expanded.
-    expanded = sum(math.prod(e + 1 for e, s in zip(exps, shift) if s)
-                   for comp in pmap.components for exps in comp._terms
-                   if any(e and s for e, s in zip(exps, shift)))
+    # terms; (s_i + q*z_i)^e_i has coefficients of at most e_i*width_i bits,
+    # width_i = bit_length(|s_i| + q).  A term off the shifted axes is copied.
+    widths = [(abs(s) + q).bit_length() if s else 0 for s in shift]
+    expanded = bits = 0
+    for exps in (e for comp in pmap.components for e in comp._terms):
+        if any(e and w for e, w in zip(exps, widths)):
+            count = math.prod(e + 1 for e, w in zip(exps, widths) if w)
+            expanded += count
+            bits += count * sum(e * w for e, w in zip(exps, widths))
     if expanded > SHIFT_TERM_BUDGET:
         raise ShiftBudgetError(f"recentering would expand {expanded} terms, "
                                f"over the shift term budget {SHIFT_TERM_BUDGET}")
+    if bits > SHIFT_BIT_BUDGET:
+        raise ShiftBudgetError(f"recentering would expand coefficients of {bits} bits, "
+                               f"over the shift bit budget {SHIFT_BIT_BUDGET}")
     components = []
     for comp in pmap.components:
         lcm = math.lcm(*(c.denominator for c in comp._terms.values()))

@@ -331,6 +331,14 @@ class TestCommandLine:
         assert child.stderr == ("error: recentering would expand 2147483648 terms, "
                                 "over the shift term budget 100000\n")
 
+    def test_recentering_bit_budget_is_one_error_line(self, tmp_path):
+        # 20,001 terms, inside the term budget, whose expansion took 47 s.
+        spec = "map{n=1,m=1} f1=x1^20000 at (1/3)"
+        child = run_python(tmp_path, "-m", "esl.cli", "exact", spec, timeout=5)
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == ("error: recentering would expand coefficients of 1200060000 "
+                                "bits, over the shift bit budget 100000000\n")
+
     def test_parser_is_built_once(self, capsys):
         cli.build_parser.cache_clear()
         run_cli(capsys, "exact", "map{n=1,m=1} f1=x1^2")

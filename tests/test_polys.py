@@ -264,6 +264,15 @@ class TestEvaluateAndShift:
         with pytest.raises(ShiftBudgetError, match="shift term budget 12"):
             shift_to_origin(PolyMap([x1**3 * x2**2 + x1]), [1, 1])
 
+    def test_shift_bit_budget_counts_coefficient_bits(self, monkeypatch):
+        monkeypatch.setattr(polys, "SHIFT_BIT_BUDGET", 120)
+        x1, x2 = var(2, 0), var(2, 1)
+        # At (1, 1) each factor (1 + z)^e is bounded by e*bit_length(2) bits:
+        # 12 terms of 3*2 + 2*2 bits.  At (1/3, 1), q = 3 makes it 12*(9 + 6).
+        assert len(shift_to_origin(PolyMap([x1**3 * x2**2]), [1, 1]).components[0]) == 11
+        with pytest.raises(ShiftBudgetError, match="shift bit budget 120"):
+            shift_to_origin(PolyMap([x1**3 * x2**2]), [Fraction(1, 3), 1])
+
     def test_shift_budget_skips_terms_off_the_shifted_axes(self, monkeypatch):
         monkeypatch.setattr(polys, "SHIFT_TERM_BUDGET", 12)
         x1, x2 = var(2, 0), var(2, 1)
