@@ -12,8 +12,9 @@ Grammar (UTF-8 text, whitespace insignificant):
     RATIONAL  := INT ("/" POSINT)?
     point     := "at" "(" RATIONAL ("," RATIONAL)* ")"
 
-Printing produces the canonical form (components in order, terms in
-descending graded-lex order), and parse(print(spec)) is the identity.
+Polynomials print in canonical form (terms in descending graded-lex order)
+inside this grammar, so a spec written out component by component parses
+back to itself.
 """
 
 from __future__ import annotations
@@ -53,15 +54,6 @@ class MapSpec:
 
     def poly_map(self) -> PolyMap:
         return PolyMap(self.components)
-
-    def to_text(self) -> str:
-        lines = [f"map{{n={self.n},m={self.m}}}"]
-        for i, comp in enumerate(self.components):
-            lines.append(f"f{i + 1} = {comp}")
-        if self.point is not None:
-            coords = ", ".join(str(c) for c in self.point)
-            lines.append(f"at ({coords})")
-        return "\n".join(lines) + "\n"
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|\d+|[{}()=,+\-*/^]|\S")

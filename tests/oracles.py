@@ -13,8 +13,9 @@ bump sampler draws a smooth compactly supported law by rejection, and the
 cylinder oracle enumerates all of (Z/p^k)^n afresh at every depth instead of
 lifting the solutions of the depth above.  The reference shift recenters in
 Fraction arithmetic instead of clearing denominators first.  The pushforward
-sampler, the uniform histogram and its FFT convolution powers have no caller
-in the package; the tests and acceptance criteria use them as tools.
+sampler, the uniform histogram and its FFT convolution powers, and the
+map-spec printer have no caller in the package; the tests and acceptance
+criteria use them as tools.
 Expected values asserted in the tests were computed (and are re-checked)
 with these.
 """
@@ -28,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from esl.lct import MonomialIdeal
+from esl.mapspec import MapSpec
 from esl.padic import BudgetExceededError, _integer_coefficient_terms
 from esl.polys import Polynomial, PolyMap, substitute_affine
 from esl.realnum import SHARD_SIZE, Histogram, SampleConfig, evaluate_array, sample_source
@@ -196,6 +198,17 @@ def _fraction_pivot(tableau, basis, row: int, col: int) -> None:
             factor = tableau[i][col]
             tableau[i] = [a - factor * b for a, b in zip(tableau[i], tableau[row])]
     basis[row] = col
+
+
+def map_spec_text(spec: MapSpec) -> str:
+    """The canonical text of a spec: header, components in order, base point."""
+    lines = [f"map{{n={spec.n},m={spec.m}}}"]
+    for i, comp in enumerate(spec.components):
+        lines.append(f"f{i + 1} = {comp}")
+    if spec.point is not None:
+        coords = ", ".join(str(c) for c in spec.point)
+        lines.append(f"at ({coords})")
+    return "\n".join(lines) + "\n"
 
 
 def evaluate_exact(p: Polynomial, point) -> Fraction:
