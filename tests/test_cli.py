@@ -113,8 +113,8 @@ class TestExactReports:
                    if mod is not None and (name == "esl" or name.startswith("esl."))]
         for module in (exponents, lct):
             for name, fn in list(vars(module).items()):
-                if name.startswith("_") or not inspect.isfunction(fn) \
-                        or fn.__module__ != module.__name__:
+                if (name.startswith("_") or not inspect.isfunction(fn)
+                        or fn.__module__ != module.__name__):
                     continue
                 def spy(*args, _real=fn, _name=name, **kwargs):
                     called.add(_name)
@@ -125,11 +125,10 @@ class TestExactReports:
                             monkeypatch.setattr(holder, alias, spy)
 
         def provenances(node) -> list[str]:
-            if isinstance(node, dict):
-                own = [node["provenance"]] if "provenance" in node else []
-                return own + [p for value in node.values() for p in provenances(value)]
-            return [p for value in node for p in provenances(value)] \
-                if isinstance(node, list) else []
+            if not isinstance(node, dict):
+                return []
+            own = [node["provenance"]] if "provenance" in node else []
+            return own + [p for value in node.values() for p in provenances(value)]
 
         specs = [argv[1] for name, argv in GOLDEN_CASES.items() if name.startswith("exact-")]
         specs += ["map{n=3,m=1} f1=x1^2*x2^2*x3^2", "map{n=2,m=2} f1=x1 f2=x2",
