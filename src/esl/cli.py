@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from . import padic, report, suites
+from . import report, suites
 from .mapspec import parse_map_spec
 from .polys import ExponentOverflowError
 
@@ -43,18 +43,11 @@ def _emit_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _write_histogram_csv(path: str, hist) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["bin_left", "bin_right", "mass"])
-        writer.writerows(hist.to_csv_rows())
-
-
-def _write_mass_table_csv(path: str, table: padic.PadicMassTable) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "mass_num", "mass_den", "ratio_num", "ratio_den"])
-        writer.writerows(table.to_csv_rows())
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_exact(args) -> int:
@@ -79,7 +72,7 @@ def cmd_real(args) -> int:
                                        bins=args.bins, density_weights=weights)
     _emit_json(payload, args.out)
     if args.csv:
-        _write_histogram_csv(args.csv, hist)
+        _write_csv(args.csv, ["bin_left", "bin_right", "mass"], hist.to_csv_rows())
     return 0 if payload["comparison"]["verdict"] != "FAIL" else 1
 
 
@@ -91,7 +84,8 @@ def cmd_padic(args) -> int:
                                          cell_budget=args.cell_budget)
     _emit_json(payload, args.out)
     if args.csv:
-        _write_mass_table_csv(args.csv, table)
+        _write_csv(args.csv, ["k", "mass_num", "mass_den", "ratio_num", "ratio_den"],
+                   table.to_csv_rows())
     return 0
 
 

@@ -13,9 +13,9 @@ column mass(0), ..., mass(k_max) in one call:
   integer-coefficient polynomials, efficient when the singular locus is
   small (diagonal sums and the like): one memo shared by all depths.
 
-ball_ratio_sequence chooses one engine per table; the depth fits
-(fit_padic_lct, estimate_eps_padic) both read the table it returns, so a
-report computes each mass once.
+ball_ratio_sequence chooses one engine for the column around 0; the depth
+fits (fit_padic_lct, estimate_eps_padic) both read the table it returns, so
+a report computes each mass once.
 
 Conventions: |p|_p = 1/p, the Haar measure of Z_p is 1, and only Q_p itself
 (prime residue fields) is supported.
@@ -27,6 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -76,7 +77,7 @@ def _require_prime_and_depth(p: int, k: int) -> None:
 
 @dataclass(frozen=True)
 class PadicMassTable:
-    """Exact ball masses around a target point, by depth.
+    """Exact masses of the balls {val(phi) >= k} around 0, indexed by depth k.
 
     ratio(k) = mass(k) * p^(mk) compares the ball mass with the Haar mass of
     its target ball; bounded ratios mean bounded density.
@@ -84,25 +85,23 @@ class PadicMassTable:
 
     p: int
     m: int
-    rows: tuple[tuple[int, Fraction, Fraction], ...]
+    masses: tuple[Fraction, ...]
 
     def __post_init__(self):
-        masses = [mass for _, mass, _ in self.rows]
-        if any(not 0 <= mass <= 1 for mass in masses):
+        if any(not 0 <= mass <= 1 for mass in self.masses):
             raise ValueError("masses must lie in [0, 1]")
-        if any(a < b for a, b in zip(masses, masses[1:])):
+        if any(a < b for a, b in zip(self.masses, self.masses[1:])):
             raise ValueError("masses must be weakly decreasing in depth")
 
-    def masses(self) -> list[Fraction]:
-        return [mass for _, mass, _ in self.rows]
-
-    def ratios(self) -> list[Fraction]:
-        return [ratio for _, _, ratio in self.rows]
+    @cached_property
+    def ratios(self) -> tuple[Fraction, ...]:
+        scale = self.p**self.m
+        return tuple(mass * scale**k for k, mass in enumerate(self.masses))
 
     def to_csv_rows(self) -> list[tuple[int, int, int, int, int]]:
         return [
             (k, mass.numerator, mass.denominator, ratio.numerator, ratio.denominator)
-            for k, mass, ratio in self.rows
+            for k, (mass, ratio) in enumerate(zip(self.masses, self.ratios))
         ]
 
     def to_json_dict(self) -> dict:
@@ -111,7 +110,7 @@ class PadicMassTable:
             "target_dim": self.m,
             "rows": [
                 {"k": k, "mass": f"{mass}", "ratio": f"{ratio}"}
-                for k, mass, ratio in self.rows
+                for k, (mass, ratio) in enumerate(zip(self.masses, self.ratios))
             ],
         }
 
@@ -138,7 +137,7 @@ def _power_mod(x: np.ndarray, e: int, modulus: int) -> np.ndarray:
     return half * x % modulus if e % 2 else half
 
 
-def cylinder_mass(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | int,
+def cylinder_mass(pmap: PolyMap, p: int, k_max: int, y: Sequence[int],
                   cell_budget: int | None = None) -> list[Fraction]:
     """Masses of the cylinders {x in Z_p^n : phi(x) = y mod p^k}, k = 0..k_max.
 
@@ -149,8 +148,6 @@ def cylinder_mass(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | int,
     depth's p^(nj) cells must fit the budget.
     """
     _require_prime_and_depth(p, k_max)
-    if isinstance(y, int):
-        y = [y]
     y = [int(v) for v in y]
     if len(y) != pmap.m:
         raise ValueError(f"target point has dimension {len(y)}, expected {pmap.m}")
@@ -214,12 +211,10 @@ def monomial_zero_mass(poly: Polynomial, p: int, k_max: int) -> list[Fraction]:
     _require_prime_and_depth(p, k_max)
     if not poly.is_single_term:
         raise ValueError("valuation path requires a single-term polynomial")
-    [(exps, coeff)] = poly.terms()
-    if coeff.denominator != 1:
-        raise NonIntegralCoefficientsError(f"coefficient {coeff} is not an integer")
+    [(exps, coeff)] = _integer_coefficient_terms(poly)
     # law[s] = P(val = s) for s < k_max; the rest of the mass lies at >= k_max.
     law = [Fraction(0)] * k_max
-    start = _val_p(coeff.numerator, p, k_max)
+    start = _val_p(coeff, p, k_max)
     if start < k_max:
         law[start] = Fraction(1)
     unit = Fraction(p - 1, p)
@@ -350,27 +345,21 @@ def zero_fiber_mass_recursive(poly: Polynomial, p: int, k_max: int,
 # ---------------------------------------------------------------------------
 
 
-def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | int = 0,
-                        cell_budget: int | None = None, method: str = "auto") -> PadicMassTable:
-    """Exact masses and density ratios of shrinking balls around y.
+def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int,
+                        cell_budget: int | None = None) -> PadicMassTable:
+    """Exact masses and density ratios of shrinking balls around 0.
 
     ratio(k) = mass(k) * p^(mk); a bounded sequence certifies bounded
-    density at y, polynomial growth in k certifies an infinite
+    density at 0, polynomial growth in k certifies an infinite
     integrability exponent with logarithmic blow-up.  One engine call
-    returns the whole column.  method "enumerate" counts every depth by
-    one lifting pass of cylinder_mass; "auto" serves zero-fibers of
-    one-dimensional maps by the valuation engine (monomials) or the
-    recursion engine, and enumerates the whole table instead when some
-    depth exhausts the recursion's node budget.  When enumeration then
+    returns the whole column: the valuation engine for a single term, the
+    recursion engine for another one-dimensional map, and otherwise one
+    lifting pass of cylinder_mass, which also serves the whole table when
+    some depth exhausts the recursion's node budget.  When enumeration then
     exceeds its cell budget too, the error names both budgets.
     """
-    if method not in ("auto", "enumerate"):
-        raise ValueError(f"unknown method {method!r}")
-    if isinstance(y, int):
-        y = [y] * pmap.m
-    y = [int(v) for v in y]
     masses = recursion_error = None
-    if method == "auto" and pmap.m == 1 and not any(y):
+    if pmap.m == 1:
         [poly] = pmap.components
         if poly.is_single_term:
             masses = monomial_zero_mass(poly, p, k_max)
@@ -381,13 +370,12 @@ def ball_ratio_sequence(pmap: PolyMap, p: int, k_max: int, y: Sequence[int] | in
                 recursion_error = err
     if masses is None:
         try:
-            masses = cylinder_mass(pmap, p, k_max, y, cell_budget)
+            masses = cylinder_mass(pmap, p, k_max, [0] * pmap.m, cell_budget)
         except BudgetExceededError as err:
             if recursion_error is None:
                 raise
             raise BudgetExceededError(f"{recursion_error}; enumeration: {err}") from err
-    rows = tuple((k, mass, mass * Fraction(p) ** (pmap.m * k)) for k, mass in enumerate(masses))
-    return PadicMassTable(p=p, m=pmap.m, rows=rows)
+    return PadicMassTable(p=p, m=pmap.m, masses=tuple(masses))
 
 
 def closed_form_xy_ratio(p: int, k: int) -> Fraction:
@@ -427,10 +415,16 @@ class PadicEpsEstimate:
     detail: str
 
 
-def _one_dim_depth(table: PadicMassTable) -> int:
+def _deep_half(table: PadicMassTable, column: Sequence[Fraction]) -> tuple[np.ndarray, np.ndarray]:
+    """Depths k in [k_max/2, k_max] (k >= 1) of a one-dimensional table and
+    log_p column[k] there, -inf where the column vanished."""
     if table.m != 1:
         raise ValueError("depth fits are implemented for one-dimensional targets")
-    return len(table.rows) - 1
+    k_max = len(column) - 1
+    k_lo = max(1, math.ceil(k_max / 2))
+    logs = [(math.log(v.numerator) - math.log(v.denominator)) / math.log(table.p)
+            if v > 0 else -math.inf for v in column[k_lo:]]
+    return np.arange(k_lo, k_max + 1, dtype=float), np.array(logs)
 
 
 def fit_padic_lct(table: PadicMassTable) -> PadicLctFit:
@@ -444,50 +438,36 @@ def fit_padic_lct(table: PadicMassTable) -> PadicLctFit:
     is reported together with the log-power in {0, 1, 2} minimizing the
     residual.
     """
-    k_max = _one_dim_depth(table)
-    if k_max < 4:
+    depths, logs = _deep_half(table, table.masses)
+    if len(table.masses) < 5:
         raise ValueError("need k_max >= 4 to fit")
-    p, masses = table.p, table.masses()
-    if len(set(table.ratios()[1:])) == 1:
+    if len(set(table.ratios[1:])) == 1:
         return PadicLctFit(slope=None, log_power=0, sentinel_ge_one=True, residuals={})
-
-    k_lo = max(1, math.ceil(k_max / 2))
-    depths = np.arange(k_lo, k_max + 1, dtype=float)
-    logs = np.array([
-        (math.log(masses[k].numerator) - math.log(masses[k].denominator)) / math.log(p)
-        for k in range(k_lo, k_max + 1)
-    ])
+    if not np.all(np.isfinite(logs)):
+        raise ValueError("mass vanished at finite depth")
     # logs ~ alpha - c*k + m*log_p(k): regress on -k so the slope is c itself.
-    m, fit, residuals = fit_log_power(-depths, logs, np.log(depths) / math.log(p), (0, 1, 2))
+    m, fit, residuals = fit_log_power(-depths, logs, np.log(depths) / math.log(table.p),
+                                      (0, 1, 2))
     return PadicLctFit(slope=fit.slope, log_power=m, sentinel_ge_one=False, residuals=residuals)
 
 
 def estimate_eps_padic(table: PadicMassTable) -> PadicEpsEstimate:
     """Classify the integrability exponent from ball-ratio growth.
 
-    Reads the table that ball_ratio_sequence built around the target point,
-    the same table fit_padic_lct reads.  Constant or polynomially growing
+    Reads the table that ball_ratio_sequence built around 0, the same table
+    fit_padic_lct reads.  Constant or polynomially growing
     ratios mean an infinite exponent; geometric growth p^((1-c)k) identifies
     the threshold c and the exponent c/(1-c).  Both growth hypotheses are
     fitted and their residuals reported; close residuals are flagged
     ambiguous.
     """
-    k_max = _one_dim_depth(table)
-    p, ratios = table.p, table.ratios()
-    if len(set(ratios)) == 1:
+    depths, logs = _deep_half(table, table.ratios)
+    if len(set(table.ratios)) == 1:
         return PadicEpsEstimate(
             infinite=True, value=None, threshold=None,
             residual_exponential=0.0, residual_polynomial=0.0,
             ambiguous=False, detail="constant ratio",
         )
-
-    k_lo = max(1, math.ceil(k_max / 2))
-    depths = np.arange(k_lo, k_max + 1, dtype=float)
-    logs = np.array([
-        (math.log(ratios[k].numerator) - math.log(ratios[k].denominator)) / math.log(p)
-        if ratios[k] > 0 else float("-inf")
-        for k in range(k_lo, k_max + 1)
-    ])
     if not np.all(np.isfinite(logs)):
         return PadicEpsEstimate(
             infinite=False, value=0.0, threshold=0.0,

@@ -8,6 +8,7 @@ downstream consumers can audit which equality or bound was used.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict
 from fractions import Fraction
 from importlib import resources
@@ -48,6 +49,20 @@ def _recentered(spec: MapSpec) -> polys.PolyMap:
     return polys.shift_to_origin(spec.poly_map(), point)
 
 
+class DigitLimitError(ValueError):
+    """A coefficient to print has more decimal digits than the interpreter's
+    int-to-str conversion allows (sys.get_int_max_str_digits)."""
+
+
+def _minor_texts(minors: list[polys.Polynomial]) -> list[str]:
+    try:
+        return [str(minor) for minor in minors]
+    except ValueError as err:  # the only error str raises on an int or a Fraction
+        limit = sys.get_int_max_str_digits()
+        raise DigitLimitError(f"a recentered Jacobian minor has a coefficient of more than "
+                              f"{limit} digits, over the int-to-str digit limit {limit}") from err
+
+
 _IDEAL_ERRORS = {  # error class -> (report name, guidance)
     polys.NotMonomialError: ("NotMonomial", "a maximal minor is not a single term; supply "
                              "log-resolution data (a_i, b_i) and use lct_from_resolution instead"),
@@ -68,7 +83,7 @@ def exact_report(spec: MapSpec) -> dict:
     report: dict = {"schema": SCHEMA, "command": "exact", "map": _map_echo(spec), "notes": []}
     notes: list[str] = report["notes"]
     inv = exponents.ExactInvariants(_recentered(spec))
-    report["jacobian_minors"] = [str(p) for p in inv.minors]
+    report["jacobian_minors"] = _minor_texts(inv.minors)
 
     ideal = inv.ideal
     if not isinstance(ideal, MonomialIdeal):
@@ -158,7 +173,6 @@ def _weighted_exact_eps(shifted: polys.PolyMap, weights: Sequence[int]) -> Expon
 
 
 def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
-                t_grid: Sequence[float] = DEFAULT_T_GRID,
                 density_weights: Sequence[int] | None = None) -> tuple[dict, realnum.Histogram]:
     """Monte Carlo report over the reals, with exact-vs-empirical comparison."""
     if spec.m != 1:
@@ -187,7 +201,7 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
     eps_est = realnum.estimate_eps_star(fit)
     report["eps_estimate"] = dict(asdict(eps_est), provenance="estimate_eps_star")
 
-    decay = realnum.estimate_delta_star_1d(shifted, cfg, t_grid, drawn=(points, values))
+    decay = realnum.estimate_delta_star_1d(shifted, cfg, DEFAULT_T_GRID, drawn=(points, values))
     report["delta_estimate"] = dict(asdict(decay), provenance="estimate_delta_star_1d")
 
     if any(cfg.density_weights or ()):
@@ -218,17 +232,13 @@ def padic_report(spec: MapSpec, p: int, k_max: int,
         raise ValueError("p-adic analysis needs an integral base point")
     shifted = _recentered(spec)
 
-    table = padic.ball_ratio_sequence(shifted, p, k_max, 0, cell_budget)
+    table = padic.ball_ratio_sequence(shifted, p, k_max, cell_budget)
     report["mass_table"] = dict(table.to_json_dict(), provenance="ball_ratio_sequence")
 
     if spec.m == 1:
         if k_max >= 4:
             fit = padic.fit_padic_lct(table)
-            report["lct_fit"] = dict(
-                slope=fit.slope, log_power=fit.log_power,
-                sentinel_ge_one=fit.sentinel_ge_one,
-                residuals={str(k): v for k, v in fit.residuals.items()},
-                provenance="fit_padic_lct")
+            report["lct_fit"] = dict(asdict(fit), provenance="fit_padic_lct")
         est = padic.estimate_eps_padic(table)
         report["eps_estimate"] = dict(asdict(est), provenance="estimate_eps_padic")
         if est.infinite and est.detail == "polynomial ratio growth":

@@ -100,14 +100,14 @@ def padic_xy() -> list[CheckResult]:
     xy = polys.PolyMap([
         polys.Polynomial.variable(2, 0) * polys.Polynomial.variable(2, 1)])
     for p in (2, 3, 5):
-        table = padic.ball_ratio_sequence(xy, p, 4, 0, method="enumerate")
+        table = padic.PadicMassTable(p, 1, tuple(padic.cylinder_mass(xy, p, 4, [0])))
         match = all(ratio == padic.closed_form_xy_ratio(p, k)
-                    for k, _, ratio in table.rows)
+                    for k, ratio in enumerate(table.ratios))
         rows.append(CheckResult(
             "padic-xy", f"enumeration equals closed form p={p} k<=4",
-            match, f"ratios {[str(r) for r in table.ratios()]}"))
+            match, f"ratios {[str(r) for r in table.ratios]}"))
         bound = all(ratio >= Fraction((p - 1) ** 2, p**2) * (k + 1)
-                    for k, _, ratio in table.rows)
+                    for k, ratio in enumerate(table.ratios))
         rows.append(CheckResult(
             "padic-xy", f"lower bound ((p-1)/p)^2 (k+1) holds p={p}",
             bound, "exact rational comparison"))

@@ -124,8 +124,8 @@ def test_criterion_06_padic_xy_exact():
     timings = {}
     for p in (2, 3, 5):
         start = time.perf_counter()
-        table = padic.ball_ratio_sequence(xy, p, 4, 0, method="enumerate")
-        for k, _, ratio in table.rows:
+        table = padic.PadicMassTable(p, 1, tuple(padic.cylinder_mass(xy, p, 4, [0])))
+        for k, ratio in enumerate(table.ratios):
             assert ratio == padic.closed_form_xy_ratio(p, k), (p, k)
             assert ratio >= F((p - 1) ** 2, p**2) * (k + 1), (p, k)
         timings[p] = time.perf_counter() - start

@@ -226,7 +226,7 @@ class TestPadicReport:
     def test_identity_constant_ratio(self):
         spec = parse_map_spec("map{n=1,m=1} f1 = x1")
         payload, table = padic_report(spec, p=3, k_max=6)
-        assert len(set(table.ratios())) == 1
+        assert len(set(table.ratios)) == 1
         assert payload["eps_estimate"]["detail"] == "constant ratio"
 
 
@@ -337,6 +337,16 @@ class TestCommandLine:
         assert (child.returncode, child.stdout) == (2, "")
         assert child.stderr == ("error: recentering would expand coefficients of 1200060000 "
                                 "bits, over the shift bit budget 100000000\n")
+
+    def test_digit_limit_is_one_error_line(self, tmp_path):
+        # The recentered minor has coefficients of about 6,000 digits, inside
+        # both shift budgets but past what int-to-str conversion prints.
+        spec = "map{n=1,m=1} f1=x1^1000 at (1/1000003)"
+        child = run_python(tmp_path, "-m", "esl.cli", "exact", spec, timeout=5)
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == (f"error: a recentered Jacobian minor has a coefficient of more "
+                                f"than {sys.get_int_max_str_digits()} digits, over the int-to-str "
+                                f"digit limit {sys.get_int_max_str_digits()}\n")
 
     def test_parser_is_built_once(self, capsys):
         cli.build_parser.cache_clear()

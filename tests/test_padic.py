@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from esl import padic
+from esl.cli import main
 from esl.padic import (
     BudgetExceededError,
     NonIntegralCoefficientsError,
@@ -105,14 +106,9 @@ class TestClosedFormXY:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_matches_enumeration_to_depth_four(self, p):
-        table = ball_ratio_sequence(XY, p, 4, 0, method="enumerate")
-        for k, _, ratio in table.rows:
+        table = PadicMassTable(p, 1, tuple(cylinder_mass(XY, p, 4, [0])))
+        for k, ratio in enumerate(table.ratios):
             assert ratio == closed_form_xy_ratio(p, k)
-
-    @pytest.mark.parametrize("method", ["valuation", "recursion"])
-    def test_only_auto_and_enumerate_engines(self, method):
-        with pytest.raises(ValueError, match="unknown method"):
-            ball_ratio_sequence(XY, 3, 2, 0, method=method)
 
     def test_lower_bound_all_small_primes(self):
         for p in (2, 3, 5, 7):
@@ -165,8 +161,8 @@ class TestEngineAgreement:
     def test_dispatch_picks_an_exact_engine(self):
         for poly, p in [(X2 * Y2, 3), (X2**3 + Y2**3, 5)]:
             pmap = PolyMap([poly])
-            assert ball_ratio_sequence(pmap, p, 3) == \
-                ball_ratio_sequence(pmap, p, 3, method="enumerate")
+            assert ball_ratio_sequence(pmap, p, 3).masses == \
+                tuple(cylinder_mass(pmap, p, 3, [0]))
 
     @given(st.integers(1, 4), st.integers(0, 3), st.sampled_from([2, 3, 5]))
     @settings(max_examples=25)
@@ -235,21 +231,41 @@ def spy_engines(monkeypatch):
 
 
 class TestOneEngineCallPerTable:
-    @pytest.mark.parametrize("pmap,p,method,engine", [
-        (PolyMap([3 * X2**2 * Y2**3]), 3, "auto", "monomial_zero_mass"),
-        (PolyMap([X2**2 + Y2**2]), 2, "auto", "zero_fiber_mass_recursive"),
-        (PolyMap([X2 * Y2, X2**2]), 2, "auto", "cylinder_mass"),
-        (XY, 3, "enumerate", "cylinder_mass"),
-    ], ids=["valuation", "recursion", "enumeration", "enumerate-method"])
-    def test_one_engine_call(self, monkeypatch, pmap, p, method, engine):
+    @pytest.mark.parametrize("pmap,p,engine", [
+        (PolyMap([3 * X2**2 * Y2**3]), 3, "monomial_zero_mass"),
+        (PolyMap([X2**2 + Y2**2]), 2, "zero_fiber_mass_recursive"),
+        (PolyMap([X2 * Y2, X2**2]), 2, "cylinder_mass"),
+    ], ids=["valuation", "recursion", "enumeration"])
+    def test_one_engine_call(self, monkeypatch, pmap, p, engine):
         calls = spy_engines(monkeypatch)
-        table = ball_ratio_sequence(pmap, p, 4, method=method)
-        assert len(table.rows) == 5
+        table = ball_ratio_sequence(pmap, p, 4)
+        assert len(table.masses) == 5
         assert calls == [engine]
+
+    def test_verify_padic_xy_enumerates(self, monkeypatch, capsys):
+        # The suite's "enumeration equals closed form" rows, one for each p,
+        # read one depth-4 column of cylinder_mass each, and no table of the
+        # suite comes from the recursion.
+        columns = []
+
+        def enumerate_column(pmap, p, k_max, y, *args, _real=padic.cylinder_mass):
+            columns.append((p, k_max, list(y)))
+            return _real(pmap, p, k_max, y, *args)
+
+        def no_recursion(*args, **kwargs):
+            raise AssertionError("the recursion served a padic-xy table")
+
+        monkeypatch.setattr(padic, "cylinder_mass", enumerate_column)
+        monkeypatch.setattr(padic, "zero_fiber_mass_recursive", no_recursion)
+        assert main(["verify", "padic-xy"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"PASS  padic-xy: enumeration equals closed form p={p} k<=4" in out
+                   for p in (2, 3, 5))
+        assert columns == [(2, 4, [0]), (3, 4, [0]), (5, 4, [0])]
 
     def test_recursion_over_budget_enumerates_the_whole_table(self, monkeypatch):
         pmap = PolyMap([X2**3 + Y2**3])
-        expected = ball_ratio_sequence(pmap, 5, 4, method="enumerate")
+        expected = PadicMassTable(5, 1, tuple(cylinder_mass(pmap, 5, 4, [0])))
         monkeypatch.setattr(padic, "zero_fiber_mass_recursive",
                             partial(zero_fiber_mass_recursive, node_budget=0))
         with pytest.raises(BudgetExceededError):
@@ -271,14 +287,19 @@ class TestOneEngineCallPerTable:
 class TestMassTable:
     def test_monotone_masses_enforced(self):
         with pytest.raises(ValueError):
-            PadicMassTable(p=3, m=1, rows=((0, F(1, 2), F(1, 2)), (1, F(3, 4), F(9, 4))))
+            PadicMassTable(p=3, m=1, masses=(F(1, 2), F(3, 4)))
 
     def test_ratio_zero_depth_is_total_mass(self):
-        table = ball_ratio_sequence(XY, 5, 2, 0)
-        assert table.rows[0] == (0, F(1), F(1))
+        table = ball_ratio_sequence(XY, 5, 2)
+        assert (table.masses[0], table.ratios[0]) == (F(1), F(1))
+
+    def test_ratios_are_masses_times_the_haar_scale(self):
+        table = ball_ratio_sequence(PolyMap([X2, Y2]), 2, 3)
+        assert table.ratios == tuple(mass * 2 ** (2 * k) for k, mass in enumerate(table.masses))
+        assert table.ratios is table.ratios  # derived once per table
 
     def test_serialization_round_trip(self):
-        table = ball_ratio_sequence(SQUARE, 3, 3, 0)
+        table = ball_ratio_sequence(SQUARE, 3, 3)
         rows = table.to_csv_rows()
         assert rows[1][:3] == (1, 1, 3)
         payload = table.to_json_dict()
@@ -330,6 +351,14 @@ class TestEpsClassification:
         for fit in (fit_padic_lct, estimate_eps_padic):
             with pytest.raises(ValueError):
                 fit(table)
+
+    def test_vanishing_mass(self):
+        table = PadicMassTable(3, 1, (F(1), F(1, 3), F(0), F(0), F(0), F(0)))
+        with pytest.raises(ValueError, match="^mass vanished at finite depth$"):
+            fit_padic_lct(table)
+        est = estimate_eps_padic(table)
+        assert (est.infinite, est.value) == (False, 0.0)
+        assert est.detail == "mass vanished at finite depth"
 
     def test_residuals_reported_on_ambiguity(self):
         est = estimate_eps_padic(ball_ratio_sequence(SQUARE, 3, 12))
