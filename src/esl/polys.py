@@ -81,6 +81,16 @@ class Polynomial:
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _wrap(cls, n: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """`terms` as they are, unchecked: the caller guarantees nonzero Fraction
+        coefficients and keys of n ints in [0, MAX_EXPONENT]."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "n", n)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -138,7 +148,7 @@ class Polynomial:
                 terms.pop(exps, None)
             else:
                 terms[exps] = value
-        return Polynomial(self.n, terms)
+        return Polynomial._wrap(self.n, terms)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -161,7 +171,7 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n, {e: -c for e, c in self._terms.items()})
+        return Polynomial._wrap(self.n, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -178,7 +188,7 @@ class Polynomial:
                     terms.pop(exps, None)
                 else:
                     terms[exps] = value
-        return Polynomial(self.n, terms)
+        return Polynomial._wrap(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -285,14 +295,10 @@ def partial_derivative(p: Polynomial, axis: int) -> Polynomial:
     """Formal partial derivative along the given axis (0-based)."""
     if not 0 <= axis < p.n:
         raise IndexError(f"axis {axis} out of range for dimension {p.n}")
-    terms: dict[Exponents, Fraction] = {}
-    for exps, coeff in p.terms():
-        e = exps[axis]
-        if e == 0:
-            continue
-        lowered = exps[:axis] + (e - 1,) + exps[axis + 1:]
-        terms[lowered] = terms.get(lowered, Fraction(0)) + coeff * e
-    return Polynomial(p.n, terms)
+    # Lowering one exponent is one-to-one, so no two terms land on one key.
+    return Polynomial._wrap(p.n, {exps[:axis] + (exps[axis] - 1,) + exps[axis + 1:]:
+                                  coeff * exps[axis]
+                                  for exps, coeff in p._terms.items() if exps[axis]})
 
 
 def jacobian_matrix(pmap: PolyMap) -> list[list[Polynomial]]:
@@ -448,6 +454,6 @@ def shift_to_origin(pmap: PolyMap, x0: Sequence[Scalar]) -> PolyMap:
         scaled = substitute_affine(terms, shift, scale)
         scaled.pop((0,) * pmap.n, None)
         denominator = lcm * q**top
-        components.append(Polynomial(pmap.n, {e: Fraction(v, denominator)
-                                              for e, v in scaled.items()}))
+        components.append(Polynomial._wrap(pmap.n, {e: Fraction(v, denominator)
+                                                    for e, v in scaled.items()}))
     return PolyMap(components)

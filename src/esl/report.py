@@ -36,7 +36,7 @@ def _map_echo(spec: MapSpec) -> dict:
     echo = {
         "n": spec.n,
         "m": spec.m,
-        "components": [str(c) for c in spec.components],
+        "components": _texts(spec.components, "a map component"),
     }
     if spec.point is not None:
         echo["point"] = [str(c) for c in spec.point]
@@ -54,13 +54,13 @@ class DigitLimitError(ValueError):
     int-to-str conversion allows (sys.get_int_max_str_digits)."""
 
 
-def _minor_texts(minors: list[polys.Polynomial]) -> list[str]:
+def _texts(polynomials: Sequence[polys.Polynomial], what: str) -> list[str]:
     try:
-        return [str(minor) for minor in minors]
+        return [str(p) for p in polynomials]
     except ValueError as err:  # the only error str raises on an int or a Fraction
         limit = sys.get_int_max_str_digits()
-        raise DigitLimitError(f"a recentered Jacobian minor has a coefficient of more than "
-                              f"{limit} digits, over the int-to-str digit limit {limit}") from err
+        raise DigitLimitError(f"{what} has a coefficient of more than {limit} digits, "
+                              f"over the int-to-str digit limit {limit}") from err
 
 
 _IDEAL_ERRORS = {  # error class -> (report name, guidance)
@@ -83,7 +83,7 @@ def exact_report(spec: MapSpec) -> dict:
     report: dict = {"schema": SCHEMA, "command": "exact", "map": _map_echo(spec), "notes": []}
     notes: list[str] = report["notes"]
     inv = exponents.ExactInvariants(_recentered(spec))
-    report["jacobian_minors"] = _minor_texts(inv.minors)
+    report["jacobian_minors"] = _texts(inv.minors, "a recentered Jacobian minor")
 
     ideal = inv.ideal
     if not isinstance(ideal, MonomialIdeal):

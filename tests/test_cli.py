@@ -322,6 +322,16 @@ class TestCommandLine:
         code, out, err = run_cli(capsys, "exact", "map{n=1,m=1} f1=x1^2147483648")
         assert (code, out, err) == (2, "", "error: exponent 2147483648 exceeds 2147483647\n")
 
+    @pytest.mark.parametrize("expr, message", [
+        ("x1^2147483647*x1", "exponent overflow in product at (2147483648,)"),
+        ("(x1+1)*x1^2147483647", "exponent overflow in product at (2147483648,)"),
+        ("0*x1^2147483648", "exponent 2147483648 exceeds 2147483647"),
+        ("x1^2147483648*0", "exponent 2147483648 exceeds 2147483647"),
+    ])
+    def test_exponent_cap_in_a_product_is_one_error_line(self, capsys, expr, message):
+        code, out, err = run_cli(capsys, "exact", f"map{{n=1,m=1}} f1={expr}")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_recentering_budget_is_one_error_line(self, tmp_path):
         # Unbudgeted, recentering at x2 = 1/2 would expand 2^31 terms.
         spec = "map{n=2,m=1} f1=x1^2147483647*x2^2147483647 at (0, 1/2)"
@@ -346,6 +356,18 @@ class TestCommandLine:
         assert (child.returncode, child.stdout) == (2, "")
         assert child.stderr == (f"error: a recentered Jacobian minor has a coefficient of more "
                                 f"than {sys.get_int_max_str_digits()} digits, over the int-to-str "
+                                f"digit limit {sys.get_int_max_str_digits()}\n")
+
+    @pytest.mark.parametrize("command", [["exact"], ["padic", "-p", "2", "-k", "4"],
+                                         ["real", "--seed", "1"]], ids=["exact", "padic", "real"])
+    def test_long_echoed_coefficient_is_one_error_line(self, tmp_path, command):
+        # Each literal is under the digit limit; their product is not.
+        nines = "9" * 4000
+        spec = f"map{{n=1,m=1}} f1={nines}*{nines}*x1"
+        child = run_python(tmp_path, "-m", "esl.cli", *command, spec, timeout=5)
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == (f"error: a map component has a coefficient of more than "
+                                f"{sys.get_int_max_str_digits()} digits, over the int-to-str "
                                 f"digit limit {sys.get_int_max_str_digits()}\n")
 
     def test_parser_is_built_once(self, capsys):

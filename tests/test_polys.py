@@ -355,3 +355,33 @@ class TestPolyMapInvariants:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
             PolyMap([var(1, 0), var(2, 0)])
+
+
+def assert_valid_terms(p):
+    """p's terms are what the public constructor would store for them."""
+    assert Polynomial(p.n, p._terms) == p
+    for exps, coeff in p._terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(exps) is tuple and len(exps) == p.n
+        assert all(type(e) is int and 0 <= e <= MAX_EXPONENT for e in exps)
+
+
+class TestArithmeticResultsAreValid:
+    # Sums, products, powers, negations, partials and shifts build their
+    # results unchecked; each must be what the checked constructor gives.
+    @given(polynomials(2), polynomials(2), st.integers(0, 3),
+           st.sampled_from([1, -2, Fraction(1, 3)]))
+    def test_ring_operations(self, p, q, power, scalar):
+        for result in [p + q, p - q, p - p, p * q, p ** power, -p, p * scalar, scalar - p,
+                       p + scalar, p * 0]:
+            assert_valid_terms(result)
+
+    @given(polynomials(3), st.integers(0, 2))
+    def test_partial_derivative(self, p, axis):
+        assert_valid_terms(partial_derivative(p, axis))
+
+    @given(shift_cases(2))
+    def test_shift_to_origin(self, case):
+        pmap, point = case
+        for comp in shift_to_origin(pmap, point).components:
+            assert_valid_terms(comp)
