@@ -72,8 +72,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             group, raw = match.lastindex, match.group()
             if group == 1:
                 break
-            if group == 5:  # any other character: a letter, a digit or unknown
-                group = 2 if raw.isalpha() else 3 if raw.isdigit() else 0
+            if group == 5:  # any other character: a letter or unknown (\d took every digit)
+                group = 2 if raw.isalpha() else 0
             if not group:
                 raise MapSpecError(f"unrecognized token {raw!r}", line_no, match.start() + 1)
             tokens.append((_KINDS.get(group, raw), raw, line_no, match.start() + 1))

@@ -9,15 +9,17 @@ the small-ball slope.
 Determinism: all sampling is sharded with seeds base_seed + shard_index and
 fixed shard size, so a given SampleConfig produces a bit-identical stream on
 one machine and numpy build, and a shorter count draws a prefix.  `esl real`
-evaluates one draw, integer powers as square-and-multiply float products;
-the Fourier estimate reuses its first half plus that half's antithetic
-mirror, with float32 cos/sin of float64-reduced phases summed in float64
-block by block in reused buffers, chained to equal one whole-array sum
-(1e-9 from complex128; noise floor 10/sqrt(N)).  The frequencies are split
-across the available cores, each frequency's sums chained as on one core,
-so the result does not depend on the core count.  One weighted line fit,
-fit_line, and one log-power selector, fit_log_power, serve every exponent
-fit here and the depth fits in padic.
+evaluates one draw, integer powers as square-and-multiply float products,
+and in the same pass the images of -z for its first half, its antithetic
+mirror, from the sign (-1)^|a| of each term z^a.  The Fourier estimate
+reads that half and its mirror, with float32 cos/sin of float64-reduced
+phases summed in float64 block by block in reused buffers, chained to
+equal one whole-array sum (1e-9 from complex128; noise floor
+10/sqrt(N)).  The frequencies are split across the usable cores (the CPU
+affinity, capped by the cgroup CPU quota), each frequency's sums chained
+as on one core, so the result does not depend on the core count.  One
+weighted line fit, fit_line, and one log-power selector, fit_log_power,
+serve every exponent fit here and the depth fits in padic.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ class ValueUnderflowError(ValueError):
 
 class CoefficientOverflowError(ValueError):
     """A coefficient of the map is too large for double precision."""
+
+
+class ValueOverflowError(ValueError):
+    """Pushforward values are too large for double precision."""
 
 
 @dataclass(frozen=True)
@@ -190,33 +196,40 @@ def _int_power(base: np.ndarray, e: int) -> np.ndarray:
     return result
 
 
-def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
-    """Vectorized float evaluation: (N, n) points -> (N, m) images."""
+def evaluate_array(pmap: PolyMap, points: np.ndarray, mirror: int = 0) -> np.ndarray:
+    """Vectorized float evaluation: (N, n) points -> (N + mirror, m) images.
+    The last mirror rows are the images of -points[:mirror], bit for bit:
+    each term z^a is added into them, or subtracted where |a| is odd."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != pmap.n:
         raise ValueError(f"expected points of shape (N, {pmap.n})")
-    out = np.zeros((points.shape[0], pmap.m))
-    term = np.empty(points.shape[0])
+    out = np.zeros((len(points) + mirror, pmap.m))
+    term = np.empty(len(points))
     # Each column power x_axis^e is computed once and dropped after its last use.
     uses = Counter((axis, e) for comp in pmap.components for exps, _ in comp.terms()
                    for axis, e in enumerate(exps) if e)
     powers: dict[tuple[int, int], np.ndarray] = {}
-    for j, comp in enumerate(pmap.components):
-        for exps, coeff in comp.terms():
-            try:
-                term.fill(float(coeff))
-            except OverflowError:
-                raise CoefficientOverflowError(
-                    f"a coefficient of f{j + 1} overflows double precision "
-                    f"(|c| > {np.finfo(float).max:.3g})") from None
-            for key in ((axis, e) for axis, e in enumerate(exps) if e):
-                if key not in powers:
-                    powers[key] = _int_power(points[:, key[0]], key[1])
-                np.multiply(term, powers[key], out=term)
-                uses[key] -= 1
-                if not uses[key]:
-                    del powers[key]
-            np.add(out[:, j], term, out=out[:, j])
+    with np.errstate(over="ignore", invalid="ignore"):  # histogram_log_abs refuses non-finite images
+        for j, comp in enumerate(pmap.components):
+            forward, mirrored = out[:len(points), j], out[len(points):, j]
+            for exps, coeff in comp.terms():
+                try:
+                    c = float(coeff)
+                except OverflowError:
+                    raise CoefficientOverflowError(
+                        f"a coefficient of f{j + 1} overflows double precision "
+                        f"(|c| > {np.finfo(float).max:.3g})") from None
+                if not any(exps):
+                    term.fill(c)
+                for i, key in enumerate((axis, e) for axis, e in enumerate(exps) if e):
+                    if key not in powers:
+                        powers[key] = _int_power(points[:, key[0]], key[1])
+                    np.multiply(term if i else c, powers[key], out=term)  # the first: c * x^e
+                    uses[key] -= 1
+                    if not uses[key]:
+                        del powers[key]
+                np.add(forward, term, out=forward)
+                (np.subtract if sum(exps) & 1 else np.add)(mirrored, term[:mirror], out=mirrored)
     return out
 
 
@@ -228,9 +241,14 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray) -> np.ndarray:
 def histogram_log_abs(values: np.ndarray, bins: int, lo: float | None = None,
                       hi: float | None = None) -> tuple[Histogram, np.ndarray]:
     """Histogram of |values| on log-spaced edges, and the positive |values| it
-    binned, ascending; zeros fall out of range."""
-    values = np.abs(np.asarray(values, dtype=float))
-    positive = np.sort(values[values > 0])
+    binned, ascending (a view of one sorted copy); zeros fall out of range."""
+    magnitudes = np.abs(np.asarray(values, dtype=float))
+    magnitudes.sort()
+    if magnitudes.size and not np.isfinite(magnitudes[-1]):  # inf and NaN sort last
+        raise ValueOverflowError(
+            f"the pushforward values overflow double precision (|y| > "
+            f"{np.finfo(float).max:.3g}); lower the map's coefficients or use `esl exact`")
+    positive = magnitudes[magnitudes.searchsorted(0.0, side="right"):]
     if positive.size == 0:
         raise ValueError("no nonzero values to bin")
     if lo is None:
@@ -243,7 +261,7 @@ def histogram_log_abs(values: np.ndarray, bins: int, lo: float | None = None,
     # np.histogram's counts for non-uniform edges: every bin half-open but the last.
     below = np.concatenate((positive.searchsorted(edges[:-1], side="left"),
                             positive.searchsorted(edges[-1:], side="right")))
-    return Histogram(edges=edges, masses=np.diff(below) / values.size, total=1.0), positive
+    return Histogram(edges=edges, masses=np.diff(below) / magnitudes.size, total=1.0), positive
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +269,23 @@ def histogram_log_abs(values: np.ndarray, bins: int, lo: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def auto_tail_window(h: Histogram, values: np.ndarray,
+def _sorted_quantile(ascending: np.ndarray, q: float) -> float:
+    """np.quantile(ascending, q), method 'linear' with numpy's two-sided lerp, by index."""
+    v, last = (len(ascending) - 1) * q, len(ascending) - 1
+    a, b = ascending[min(math.floor(v), last)], ascending[min(math.floor(v) + 1, last)]
+    gamma = v - math.floor(v)
+    return float(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+
+
+def auto_tail_window(h: Histogram, magnitudes: np.ndarray,
                      quantiles: tuple[float, float] = (0.001, 0.05)) -> tuple[int, int]:
-    """Bin index range covering |y| between the given sample quantiles.
+    """Bin index range covering |y| between the given sample quantiles of
+    the positive magnitudes, ascending, that histogram_log_abs returns.
 
     The asymptotic model holds as |y| -> 0, so the window hugs the small
-    quantiles and excludes the bulk. The positive magnitudes that
-    histogram_log_abs returns serve as values, and their order makes the
-    quantiles cheap.
+    quantiles and excludes the bulk.
     """
-    magnitudes = np.abs(np.asarray(values, dtype=float))
-    magnitudes = magnitudes[magnitudes > 0]
-    q_lo, q_hi = np.quantile(magnitudes, quantiles)
+    q_lo, q_hi = (_sorted_quantile(magnitudes, q) for q in quantiles)
     i0 = int(np.searchsorted(h.edges, q_lo, side="left"))
     i1 = int(np.searchsorted(h.edges, q_hi, side="right")) - 1
     i0 = max(i0, 0)
@@ -402,6 +425,20 @@ def _chained_sums(values: np.ndarray, t_grid: np.ndarray, sums: np.ndarray,
             sums[i, 1] = np.add.reduce(np.sin(ph32, out=tr), dtype=np.float64, initial=sums[i, 1])
 
 
+CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _cpu_quota() -> int | None:
+    """Whole CPUs the cgroup v2 quota grants, ceil(quota/period); None when
+    the file is missing or unreadable or reads "max" (no quota)."""
+    try:
+        with open(CPU_MAX, encoding="ascii") as f:
+            quota, period = f.read().split()
+        return -(-int(quota) // int(period))
+    except (OSError, ValueError):
+        return None
+
+
 def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     # Bound |t*y| below the double range, so that neither t*y nor its
     # reduction overflows; phases that large are unresolvable all the same.
@@ -412,7 +449,7 @@ def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndar
     # Worker k sums the frequencies t_grid[k::workers] over every block in
     # order, so each frequency's sums chain exactly as on one core.
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cores or 1, len(t_grid))
+    workers = min(cores or 1, _cpu_quota() or len(t_grid), len(t_grid))
     sums = np.zeros((len(t_grid), 2))
     width = min(BLOCK, len(values))
     jobs = [(values, t_grid[k::workers], sums[k::workers],
@@ -431,15 +468,15 @@ def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndar
 
 
 def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[float],
-                           drawn: tuple[np.ndarray, np.ndarray] | None = None) -> FourierDecayFit:
+                           drawn: np.ndarray | None = None) -> FourierDecayFit:
     """Estimate the power-law Fourier-decay exponent of the pushforward.
 
     The characteristic function is averaged over antithetic sample pairs:
-    the first count//2 points of cfg's stream and their mirrors in the box.
-    drawn = (sample_source(cfg), pmap's values on it) reuses a caller's draw,
-    so only the mirror is evaluated; without it the half stream is drawn.
-    The mirror is written over the drawn points: drawn's first count//2
-    points are overwritten.
+    the first h = max(count//2, 1) points z of cfg's stream and their
+    mirrors -z, so cfg's box must be symmetric about 0.  drawn, the 1-D
+    images evaluate_array(pmap, sample_source(cfg), mirror=h)[:, 0], reuses
+    a caller's draw and evaluates nothing; without it the half stream is
+    drawn and evaluated with its mirror.
     The decay exponent is the negative slope of log-magnitude against
     log-frequency on the window where the signal exceeds the Monte Carlo
     noise floor.  One-dimensional targets only.
@@ -457,17 +494,16 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
     if len(t_grid) < 4 or t_grid[0] <= 0:
         raise ValueError("need at least four positive frequencies")
 
+    if any(lo != -hi for lo, hi in cfg.box):
+        raise ValueError("the antithetic mirror -z needs a box symmetric about 0")
+
     half = max(cfg.count // 2, 1)
     if drawn is None:
-        base = sample_source(replace(cfg, count=half))
-        base_values = evaluate_array(pmap, base)[:, 0]
+        values = evaluate_array(pmap, sample_source(replace(cfg, count=half)), mirror=half)[:, 0]
+    elif len(drawn) != cfg.count + half:
+        raise ValueError(f"drawn must hold {cfg.count} + {half} images, got {len(drawn)}")
     else:
-        base, base_values = drawn[0][:half], drawn[1][:half]
-    lo = np.array([float(b[0]) for b in cfg.box])
-    hi = np.array([float(b[1]) for b in cfg.box])
-    mirrored = np.subtract(lo + hi, base, out=base)  # antithetic partner within the box
-    values = np.empty(2 * half)
-    values[:half], values[half:] = base_values, evaluate_array(pmap, mirrored)[:, 0]
+        values = np.concatenate((drawn[:half], drawn[cfg.count:]))
     t_range = (float(t_grid[0]), float(t_grid[-1]))
     if np.min(np.abs(values)) >= 2.0**53 / t_grid[0]:
         return FourierDecayFit(0.0, 0.0, t_range, flag="unresolvable")

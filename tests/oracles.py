@@ -17,7 +17,9 @@ map-spec parser builds a Polynomial per number and variable and multiplies
 them factor by factor instead of summing exponents in place.  The pushforward
 sampler, the uniform histogram and its FFT convolution powers, and the
 map-spec printer have no caller in the package; the tests and acceptance
-criteria use them as tools.
+criteria use them as tools.  The masked log histogram and the tail window
+by np.quantile are the forms the library's sorted-copy and read-by-index
+versions must match exactly.
 Expected values asserted in the tests were computed (and are re-checked)
 with these.
 """
@@ -356,6 +358,40 @@ def out_of_range(h: Histogram) -> float:
     return h.total - float(h.masses.sum())
 
 
+def histogram_log_abs_masked(values: np.ndarray, bins: int, lo: float | None = None,
+                             hi: float | None = None) -> tuple[Histogram, np.ndarray]:
+    """histogram_log_abs through a boolean mask of the positive |values|
+    and a sort of their compressed copy."""
+    values = np.abs(np.asarray(values, dtype=float))
+    positive = np.sort(values[values > 0])
+    if positive.size == 0:
+        raise ValueError("no nonzero values to bin")
+    if lo is None:
+        lo = float(positive[0]) * (1 - 1e-12)
+    if hi is None:
+        hi = float(positive[-1]) * (1 + 1e-12)
+    if not 0 < lo < hi:
+        raise ValueError("need 0 < lo < hi for log-spaced edges")
+    edges = np.geomspace(lo, hi, bins + 1)
+    below = np.concatenate((positive.searchsorted(edges[:-1], side="left"),
+                            positive.searchsorted(edges[-1:], side="right")))
+    return Histogram(edges=edges, masses=np.diff(below) / values.size, total=1.0), positive
+
+
+def auto_tail_window_reference(h: Histogram, values: np.ndarray,
+                               quantiles: tuple[float, float] = (0.001, 0.05)) -> tuple[int, int]:
+    """auto_tail_window on raw samples in any order: np.quantile of their
+    positive magnitudes."""
+    magnitudes = np.abs(np.asarray(values, dtype=float))
+    magnitudes = magnitudes[magnitudes > 0]
+    q_lo, q_hi = np.quantile(magnitudes, quantiles)
+    i0 = max(int(np.searchsorted(h.edges, q_lo, side="left")), 0)
+    i1 = min(int(np.searchsorted(h.edges, q_hi, side="right")) - 1, len(h.masses))
+    if i1 <= i0:
+        raise ValueError("empty tail window; increase bins or samples")
+    return i0, i1
+
+
 # ---------------------------------------------------------------------------
 # uniform histograms and their convolution powers
 # ---------------------------------------------------------------------------
@@ -677,7 +713,7 @@ def _tokenize(text: str) -> list[_Token]:
             raw = match.group()
             if raw[0].isalpha():
                 kind = "IDENT"
-            elif raw[0].isdigit():
+            elif raw[0].isdecimal():
                 kind = "INT"
             elif raw in "{}()=,+-*/^":
                 kind = raw

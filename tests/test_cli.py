@@ -185,7 +185,7 @@ class TestRealReport:
         spec = parse_map_spec("map{n=2,m=1} f1 = x1^2 + x2^3")
         real_report(spec, samples=100_000, seed=5, bins=150)
         assert calls["sample_source"] == [100_000]
-        assert calls["evaluate_array"] == [100_000, 50_000]  # 1.5 rows per sample
+        assert calls["evaluate_array"] == [150_000]  # the draw and the mirror of its first half
 
     def test_one_recentering_per_run(self, capsys, monkeypatch):
         # For n > m = 1 the fiber threshold alone gives the exact exponent.
@@ -391,6 +391,12 @@ class TestCommandLine:
         assert calls == [{"p": 3, "k_max": 2, "cell_budget": 5},
                          {"samples": 1_000_000, "seed": 4, "bins": 200, "density_weights": None}]
 
+    def test_superscript_digit_is_an_unrecognized_token(self, capsys):
+        # str.isdigit accepts '²'; int() does not.
+        code, out, err = run_cli(capsys, "exact", "map{n=1,m=1} f1=x1^²")
+        assert (code, out) == (2, "")
+        assert err == "error: unrecognized token '²' (line 1, column 20)\n"
+
     def test_parse_error_at_end_of_input_points_past_it(self, capsys):
         code, _, err = run_cli(capsys, "exact", "map{n=1,m=1} f1=x1 +")
         assert code == 2
@@ -409,8 +415,11 @@ class TestCommandLine:
         # A coefficient of 1e310 has no double.
         ("map{n=1,m=1} f1=1" + "0" * 310 + "*x1^2",
          "error: a coefficient of f1 overflows double precision"),
+        # Each coefficient is a double; the sum of the two terms is not.
+        ("map{n=2,m=1} f1=1" + "0" * 308 + "*x1+1" + "0" * 308 + "*x2",
+         "error: the pushforward values overflow double precision"),
     ], ids=["x1^56", "301-digit-coefficient", "308-digit-coefficient", "x1^400",
-            "311-digit-coefficient"])
+            "311-digit-coefficient", "overflowing-sum"])
     def test_tail_window_at_the_ends_of_double_precision(self, capfd, spec, error):
         # capfd also sees what LAPACK prints straight to the stderr descriptor.
         with warnings.catch_warnings(record=True) as caught:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from esl import realnum
 from esl.mapspec import parse_map_spec
@@ -18,6 +19,8 @@ from esl.realnum import (
     SampleConfig,
     ZeroMassBoxError,
     _char_function_magnitudes,
+    _cpu_quota,
+    _sorted_quantile,
     auto_tail_window,
     estimate_delta_star_1d,
     estimate_eps_star,
@@ -33,6 +36,7 @@ from esl.report import DEFAULT_T_GRID
 from .oracles import (
     CriticalValueError,
     GridTooCoarseError,
+    auto_tail_window_reference,
     bump_sample,
     char_function_magnitudes,
     char_function_magnitudes_per_frequency,
@@ -40,6 +44,7 @@ from .oracles import (
     density_oracle_equidim_1d,
     evaluate_float,
     float_power,
+    histogram_log_abs_masked,
     histogram_uniform,
     out_of_range,
     sample_pushforward,
@@ -149,6 +154,26 @@ class TestExactPowers:
         got = evaluate_array(pmap, points)
         assert np.array_equal(got, [evaluate_float(pmap, point) for point in points])
 
+    @given(st.data())
+    def test_mirror_rows_are_the_images_of_minus_z(self, data):
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(1, min(n, 2)))
+        exps = st.tuples(*[st.integers(0, 5)] * n)  # odd and even degrees, constants
+        coeffs = st.fractions(-7, 7, max_denominator=9).filter(bool)
+        pmap = PolyMap([Polynomial(n, data.draw(st.dictionaries(exps, coeffs, min_size=1,
+                                                                max_size=4)))
+                        for _ in range(m)])
+        rows = data.draw(st.integers(1, 12))
+        points = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(
+            -1.5, 1.5, (rows, n))
+        points[::5, 0] = 0.0
+        h = data.draw(st.integers(1, rows))
+        got = evaluate_array(pmap, points, mirror=h)
+        assert got.shape == (rows + h, m)
+        assert np.array_equal(got[:rows], evaluate_array(pmap, points))
+        assert np.array_equal(got[rows:], evaluate_array(pmap, -points[:h]))
+        assert np.array_equal(got[rows:], [evaluate_float(pmap, -point) for point in points[:h]])
+
 
 class TestHistogram:
     def test_mass_conservation(self):
@@ -181,7 +206,42 @@ class TestHistogram:
         window = (int(np.searchsorted(h.edges, q_lo, side="left")),
                   int(np.searchsorted(h.edges, q_hi, side="right")) - 1)
         assert auto_tail_window(h, magnitudes, quantiles) == window
-        assert auto_tail_window(h, values, quantiles) == window
+        assert auto_tail_window_reference(h, values, quantiles) == window
+
+    @pytest.mark.parametrize("bins, lo, hi", [(7, None, None), (64, 1e-3, 2.0), (33, None, 0.5)])
+    def test_sorted_copy_matches_the_masked_reference(self, bins, lo, hi):
+        rng = np.random.default_rng(bins)
+        values = rng.standard_normal(5_003) ** 3
+        values[::11], values[3::13] = 0.0, -0.0
+        values[5::7] = np.round(values[5::7], 2)  # ties
+        h, magnitudes = histogram_log_abs(values, bins=bins, lo=lo, hi=hi)
+        want, want_magnitudes = histogram_log_abs_masked(values, bins=bins, lo=lo, hi=hi)
+        assert np.array_equal(h.edges, want.edges)
+        assert np.array_equal(h.masses, want.masses) and h.total == want.total
+        assert np.array_equal(magnitudes, want_magnitudes)
+
+    def test_non_finite_values_refused(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(realnum.ValueOverflowError, match="overflow double precision"):
+                histogram_log_abs(np.array([0.5, bad, -2.0, 0.0]), bins=4)
+
+    @given(st.lists(st.sampled_from([1e-300, 3e-9, 0.25, 0.25, 1.0, 7.5, 1e300])
+                    | st.floats(1e-300, 1e300), min_size=1, max_size=60),
+           st.floats(0.0, 1.0))
+    def test_sorted_quantile_matches_numpy(self, values, q):
+        ascending = np.sort(values)
+        assert _sorted_quantile(ascending, q) == np.quantile(ascending, q)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sorted_quantile_matches_numpy_on_random_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            size = int(rng.integers(1, 3_000))
+            ascending = np.sort(10.0 ** rng.uniform(-300, 300, size))
+            ascending[rng.integers(0, size, size // 4)] = ascending[0]  # ties
+            ascending.sort()
+            for q in (*rng.random(4), 0.001, 0.05, 0.0, 1.0):
+                assert _sorted_quantile(ascending, q) == np.quantile(ascending, q)
 
 
 class TestLineFit:
@@ -309,21 +369,34 @@ class TestFourierDecay:
     def test_smooth_bump_classified_superpolynomial(self):
         points = bump_sample(SEED, 400_000)
         fit = estimate_delta_star_1d(IDENTITY, unit_cfg(400_000), np.geomspace(3, 100, 12),
-                                     drawn=(points, points[:, 0]))
+                                     drawn=evaluate_array(IDENTITY, points, mirror=200_000)[:, 0])
         assert fit.flag == "superpolynomial"
         assert fit.delta_hat >= 2.0
 
     def test_drawn_points_give_the_fit_of_a_copy(self):
         pmap = shift_to_origin(parse_map_spec("map{n=2,m=1} f1=x1^2-x2^3").poly_map(), (0, 0))
         cfg = SampleConfig(seed=SEED, count=100_001,
-                           box=((-1, 1), (Fraction(-1, 2), Fraction(3, 4))))
+                           box=((-1, 1), (Fraction(-3, 4), Fraction(3, 4))))
         points = sample_source(cfg)
-        values = evaluate_array(pmap, points)[:, 0]
-        from_copy = estimate_delta_star_1d(pmap, cfg, DEFAULT_T_GRID, drawn=(points.copy(), values))
-        # The antithetic mirror is written over the drawn points.
-        assert estimate_delta_star_1d(pmap, cfg, DEFAULT_T_GRID, drawn=(points, values)) == from_copy
-        assert not np.array_equal(points, sample_source(cfg))
+        images = evaluate_array(pmap, points, mirror=50_000)[:, 0]
+        from_copy = estimate_delta_star_1d(pmap, cfg, DEFAULT_T_GRID, drawn=images.copy())
+        assert estimate_delta_star_1d(pmap, cfg, DEFAULT_T_GRID, drawn=images) == from_copy
+        # The caller's points and images are left as they were.
+        assert np.array_equal(points, sample_source(cfg))
+        assert np.array_equal(images, evaluate_array(pmap, points, mirror=50_000)[:, 0])
         assert estimate_delta_star_1d(pmap, cfg, DEFAULT_T_GRID) == from_copy
+
+    def test_box_not_symmetric_about_zero_rejected(self):
+        pmap = PolyMap([Polynomial.variable(2, 0)])
+        cfg = SampleConfig(seed=SEED, count=1000, box=((-1, 1), (Fraction(-1, 2), Fraction(3, 4))))
+        with pytest.raises(ValueError, match="symmetric about 0"):
+            estimate_delta_star_1d(pmap, cfg, DEFAULT_T_GRID)
+
+    def test_drawn_of_the_wrong_length_rejected(self):
+        cfg = unit_cfg(1001)
+        images = evaluate_array(SQUARE, sample_source(cfg), mirror=500)[:, 0]
+        with pytest.raises(ValueError, match="1001 \\+ 500 images, got 1001"):
+            estimate_delta_star_1d(SQUARE, cfg, DEFAULT_T_GRID, drawn=images[:1001])
 
     def test_wide_targets_rejected(self):
         pmap = PolyMap.identity(2)
@@ -332,9 +405,11 @@ class TestFourierDecay:
                                    [10.0, 100.0, 1000.0, 10000.0])
 
 
-def use_cores(monkeypatch, cores):
-    """Make the affinity lookup report the given number of usable cores."""
+def use_cores(monkeypatch, cores, quota=None):
+    """Make the affinity lookup report the given number of usable cores, and
+    the CPU quota lookup the given whole CPUs (None: no quota)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(realnum, "_cpu_quota", lambda: quota)
 
 
 class TestCharFunctionKernel:
@@ -392,6 +467,28 @@ class TestCharFunctionKernel:
         with np.errstate(over="raise"):
             _char_function_magnitudes(np.ones(10), DEFAULT_T_GRID)
         assert seen == ["raise", "raise"]
+
+    @pytest.mark.parametrize("cores, quota, workers", [(8, None, 8), (8, 3, 3), (2, 5, 2),
+                                                       (32, None, 16), (8, 1, 1)])
+    def test_workers_capped_by_the_cpu_quota(self, monkeypatch, cores, quota, workers):
+        use_cores(monkeypatch, cores, quota)
+        started = []
+        monkeypatch.setattr(realnum, "_chained_sums", lambda *job: started.append(job[1]))
+        _char_function_magnitudes(np.ones(10), DEFAULT_T_GRID)
+        assert len(started) == workers
+        assert sorted(np.concatenate(started)) == sorted(DEFAULT_T_GRID)
+
+    @pytest.mark.parametrize("text, quota", [("150000 100000\n", 2), ("200000 100000\n", 2),
+                                             ("50000 100000\n", 1), ("max 100000\n", None),
+                                             ("", None), (None, None), ("<directory>", None)])
+    def test_cpu_quota_read_from_cpu_max(self, tmp_path, monkeypatch, text, quota):
+        cpu_max = tmp_path / "cpu.max"
+        if text == "<directory>":  # unreadable as a file
+            cpu_max.mkdir()
+        elif text is not None:  # None: the file is missing
+            cpu_max.write_text(text)
+        monkeypatch.setattr(realnum, "CPU_MAX", str(cpu_max))
+        assert _cpu_quota() == quota
 
     def test_huge_phases_stay_finite(self, monkeypatch):
         use_cores(monkeypatch, 2)
