@@ -48,6 +48,7 @@ from .polys import (
     NotMonomialError,
     PolyMap,
     Polynomial,
+    MinorBudgetError,
     ShiftBudgetError,
     as_monomial_ideal,
     jacobian_matrix,

@@ -25,6 +25,7 @@ import sys
 from . import report, suites
 from .mapspec import parse_map_spec
 from .polys import ExponentOverflowError
+from .realnum import MAX_BINS
 
 
 def _load_spec_text(argument: str) -> str:
@@ -61,6 +62,8 @@ def cmd_real(args) -> int:
         raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
     if args.bins < 1:
         raise ValueError(f"--bins must be an integer >= 1, got {args.bins}")
+    if args.bins > MAX_BINS:
+        raise ValueError(f"--bins {args.bins} is over the bin limit {MAX_BINS}")
     weights = args.weights.split(",") if args.weights else None
     if weights is not None:
         if not all(w.isdecimal() for w in weights):

@@ -87,15 +87,10 @@ def lct_from_eps(e: ExponentValue) -> BoundedValue:
     return BoundedValue(ExponentValue(e_frac / (1 + e_frac)), BoundKind.EXACT)
 
 
-def eps_monomial_model(model: MonomialLocalModel, density_positive_at_origin: bool = True) -> BoundedValue:
-    """Integrability exponent of a monomial local model.
-
-    Exact when the smooth density factor is nonzero at the origin, otherwise
-    only a lower bound.
-    """
-    value = eps_from_lct(ExponentValue(model.threshold()))
-    kind = BoundKind.EXACT if density_positive_at_origin else BoundKind.LOWER_BOUND
-    return BoundedValue(value, kind)
+def eps_monomial_model(model: MonomialLocalModel) -> BoundedValue:
+    """Integrability exponent of a monomial local model, exact: the model's
+    density has no smooth factor that could vanish at the origin."""
+    return BoundedValue(eps_from_lct(ExponentValue(model.threshold())), BoundKind.EXACT)
 
 
 def eps_equidimensional(lct_jacobian: LctValue) -> BoundedValue:

@@ -38,6 +38,9 @@ from .realnum import fit_line, fit_log_power
 DEFAULT_CELL_BUDGET = 10_000_000
 RECURSION_NODE_BUDGET = 50_000
 CELL_BUDGET_ENV = "ESL_CELL_BUDGET"
+# Deepest depth accepted, far above the depth 400 of any test or benchmark
+# run; deeper requests are refused before any engine allocates a column.
+MAX_DEPTH = 10_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -73,6 +76,8 @@ def _require_prime_and_depth(p: int, k: int) -> None:
         raise ValueError(f"{p} is not prime")
     if k < 0:
         raise ValueError("depth must be >= 0")
+    if k > MAX_DEPTH:
+        raise ValueError(f"depth {k} is over the depth limit {MAX_DEPTH}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,12 @@ MAX_EXPONENT = 2**31 - 1
 # around a nonzero integer point, takes 5,150 terms and 686,800 bits.
 SHIFT_TERM_BUDGET = 100_000
 SHIFT_BIT_BUDGET = 100_000_000
+# Work that expanding the maximal minors may take: one unit per minor, and
+# len(entry) * len(minor) (at least 1) per cofactor product of the Laplace
+# expansion.  Every map whose minors took under about 2 s fits: the dense
+# 6 x 6 map (sum i*x_i)*(sum i*x_i + x_j) + x_j^3 takes 185,566 units, and
+# the 9 x 18 block map x_j^2*x_{j+9} takes 261,632.
+MINOR_BUDGET = 300_000
 
 
 class ExponentOverflowError(OverflowError):
@@ -44,6 +50,10 @@ class NotMonomialError(ValueError):
 
 class NotLocallyDominantError(ValueError):
     """All maximal minors vanish identically on the chart."""
+
+
+class MinorBudgetError(ValueError):
+    """Expanding the maximal minors would take more work than MINOR_BUDGET."""
 
 
 def _check_exponents(exps: Exponents, n: int) -> Exponents:
@@ -306,7 +316,15 @@ def jacobian_matrix(pmap: PolyMap) -> list[list[Polynomial]]:
     return [[partial_derivative(comp, i) for i in range(pmap.n)] for comp in pmap.components]
 
 
-def _determinant(matrix: list[list[Polynomial]]) -> Polynomial:
+def _spend(spent: list[int], units: int) -> None:
+    spent[0] += units
+    if spent[0] > MINOR_BUDGET:
+        raise MinorBudgetError(f"expanding the Jacobian minors takes more than {MINOR_BUDGET} "
+                               f"minors and term products, over the minor budget {MINOR_BUDGET}")
+
+
+def _determinant(matrix: list[list[Polynomial]], spent: list[int]) -> Polynomial:
+    """Laplace expansion along the first row; spent[0] counts its term products."""
     size = len(matrix)
     if size == 1:
         return matrix[0][0]
@@ -316,8 +334,9 @@ def _determinant(matrix: list[list[Polynomial]]) -> Polynomial:
         entry = matrix[0][col]
         if entry.is_zero:
             continue
-        minor = [row[:col] + row[col + 1:] for row in matrix[1:]]
-        cofactor = entry * _determinant(minor)
+        minor = _determinant([row[:col] + row[col + 1:] for row in matrix[1:]], spent)
+        _spend(spent, len(entry) * max(len(minor), 1))
+        cofactor = entry * minor
         total = total + cofactor if col % 2 == 0 else total - cofactor
     return total
 
@@ -329,11 +348,10 @@ def jacobian_minors(pmap: PolyMap) -> list[Polynomial]:
     ideal drop them (see as_monomial_ideal).
     """
     jac = jacobian_matrix(pmap)
-    minors = []
-    for cols in itertools.combinations(range(pmap.n), pmap.m):
-        sub = [[row[c] for c in cols] for row in jac]
-        minors.append(_determinant(sub))
-    return minors
+    spent = [0]
+    _spend(spent, math.comb(pmap.n, pmap.m))
+    return [_determinant([[row[c] for c in cols] for row in jac], spent)
+            for cols in itertools.combinations(range(pmap.n), pmap.m)]
 
 
 def as_monomial_ideal(generators: Sequence[Polynomial]) -> MonomialIdeal:

@@ -3,8 +3,7 @@
 Draws samples from monomial-weighted measures on a box, pushes them through
 a polynomial map, and estimates the singularity exponents empirically: the
 tail exponent of the pushforward density (against the power-times-log
-asymptotic model near the critical value), the Fourier-decay exponent and
-the small-ball slope.
+asymptotic model near the critical value) and the Fourier-decay exponent.
 
 Determinism: all sampling is sharded with seeds base_seed + shard_index and
 fixed shard size, so a given SampleConfig produces a bit-identical stream on
@@ -12,14 +11,15 @@ one machine and numpy build, and a shorter count draws a prefix.  `esl real`
 evaluates one draw, integer powers as square-and-multiply float products,
 and in the same pass the images of -z for its first half, its antithetic
 mirror, from the sign (-1)^|a| of each term z^a.  The Fourier estimate
-reads that half and its mirror, with float32 cos/sin of float64-reduced
-phases summed in float64 block by block in reused buffers, chained to
-equal one whole-array sum (1e-9 from complex128; noise floor
-10/sqrt(N)).  The frequencies are split across the usable cores (the CPU
-affinity, capped by the cgroup CPU quota), each frequency's sums chained
-as on one core, so the result does not depend on the core count.  One
-weighted line fit, fit_line, and one log-power selector, fit_log_power,
-serve every exponent fit here and the depth fits in padic.
+takes the 1-D sample it is given (`esl real` passes that half and its
+mirror), with float32 cos/sin of float64-reduced phases summed in float64
+block by block in reused buffers, chained to equal one whole-array sum
+(1e-9 from complex128; noise floor 10/sqrt(N)).  The frequencies are
+split across the usable cores (the CPU affinity, capped by the cgroup CPU
+quota), each frequency's sums chained as on one core, so the result does
+not depend on the core count.  One weighted line fit, fit_line, and one
+log-power selector, fit_log_power, serve every exponent fit here and the
+depth fits in padic.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,6 +35,11 @@ from . import _np as np
 from .polys import PolyMap
 
 SHARD_SIZE = 1 << 18
+# Largest sample count and bin count accepted, far above the 10^6 samples
+# and 200 bins of any test or benchmark run; larger requests are refused
+# before anything is allocated.
+MAX_SAMPLES = 10**8
+MAX_BINS = 10**6
 # A multiple of numpy's 8192-element reduce buffer: chained block sums equal one whole-array sum.
 BLOCK = 1 << 16
 
@@ -71,6 +76,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("sample count must be >= 1")
+        if self.count > MAX_SAMPLES:
+            raise ValueError(f"sample count {self.count} is over the sample limit {MAX_SAMPLES}")
         box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in self.box)
         object.__setattr__(self, "box", box)
         for lo, hi in box:
@@ -467,19 +474,15 @@ def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndar
     return np.array([math.hypot(c / len(values), s / len(values)) for c, s in sums])
 
 
-def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[float],
-                           drawn: np.ndarray | None = None) -> FourierDecayFit:
-    """Estimate the power-law Fourier-decay exponent of the pushforward.
+def estimate_delta_star_1d(values: np.ndarray, t_grid: Sequence[float]) -> FourierDecayFit:
+    """Estimate the power-law Fourier-decay exponent of a 1-D pushforward sample.
 
-    The characteristic function is averaged over antithetic sample pairs:
-    the first h = max(count//2, 1) points z of cfg's stream and their
-    mirrors -z, so cfg's box must be symmetric about 0.  drawn, the 1-D
-    images evaluate_array(pmap, sample_source(cfg), mirror=h)[:, 0], reuses
-    a caller's draw and evaluates nothing; without it the half stream is
-    drawn and evaluated with its mirror.
+    The characteristic function is averaged over values, the images of the
+    points the caller drew; `esl real` passes the first half of its draw
+    followed by that half's antithetic mirror.  values is read, not changed.
     The decay exponent is the negative slope of log-magnitude against
     log-frequency on the window where the signal exceeds the Monte Carlo
-    noise floor.  One-dimensional targets only.
+    noise floor.
 
     Classification flags: 'superpolynomial' (decay faster than the singular
     power-law regime; delta_hat is reported as the sentinel value 2.0,
@@ -488,22 +491,9 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
     'unresolvable' (delta_hat 0: every phase t*y at the lowest frequency is
     at least 2^53, where doubles no longer resolve it).
     """
-    if pmap.m != 1:
-        raise ValueError("Fourier-decay estimation is implemented for one-dimensional targets")
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if len(t_grid) < 4 or t_grid[0] <= 0:
         raise ValueError("need at least four positive frequencies")
-
-    if any(lo != -hi for lo, hi in cfg.box):
-        raise ValueError("the antithetic mirror -z needs a box symmetric about 0")
-
-    half = max(cfg.count // 2, 1)
-    if drawn is None:
-        values = evaluate_array(pmap, sample_source(replace(cfg, count=half)), mirror=half)[:, 0]
-    elif len(drawn) != cfg.count + half:
-        raise ValueError(f"drawn must hold {cfg.count} + {half} images, got {len(drawn)}")
-    else:
-        values = np.concatenate((drawn[:half], drawn[cfg.count:]))
     t_range = (float(t_grid[0]), float(t_grid[-1]))
     if np.min(np.abs(values)) >= 2.0**53 / t_grid[0]:
         return FourierDecayFit(0.0, 0.0, t_range, flag="unresolvable")
@@ -526,20 +516,3 @@ def estimate_delta_star_1d(pmap: PolyMap, cfg: SampleConfig, t_grid: Sequence[fl
         # report the smooth-regime sentinel (meaning "at least 2").
         return FourierDecayFit(max(delta, 2.0), se, t_range, flag="superpolynomial")
     return FourierDecayFit(delta, se, t_range)
-
-
-# ---------------------------------------------------------------------------
-# small-ball mass
-# ---------------------------------------------------------------------------
-
-
-def small_ball_slope(values: np.ndarray, quantiles: tuple[float, float] = (0.002, 0.2),
-                     points: int = 12) -> float:
-    """Slope of log mass{|y| <= delta} against log delta over a tail grid."""
-    magnitudes = np.sort(np.abs(np.asarray(values, dtype=float)))
-    magnitudes = magnitudes[magnitudes > 0]
-    lo = np.quantile(magnitudes, quantiles[0])
-    hi = np.quantile(magnitudes, quantiles[1])
-    deltas = np.geomspace(lo, hi, points)
-    masses = np.searchsorted(magnitudes, deltas, side="right") / len(magnitudes)
-    return fit_line(np.log(deltas), np.log(masses)).slope

@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from . import exponents, padic, polys, realnum
+from . import _np, exponents, padic, polys, realnum
 from .lct import MonomialIdeal
 from .mapspec import MapSpec
 from .values import ExponentValue, FieldValidity
@@ -190,8 +190,8 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
     }
 
     # One pass evaluates the draw and the antithetic mirror of its first half.
-    images = realnum.evaluate_array(shifted, realnum.sample_source(cfg),
-                                    mirror=max(samples // 2, 1))[:, 0]
+    half = max(samples // 2, 1)
+    images = realnum.evaluate_array(shifted, realnum.sample_source(cfg), mirror=half)[:, 0]
     hist, magnitudes = realnum.histogram_log_abs(images[:samples], bins=bins)
     window = realnum.auto_tail_window(hist, magnitudes)
     del magnitudes  # 8 bytes a sample that the Fourier estimate need not carry
@@ -202,7 +202,9 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
     eps_est = realnum.estimate_eps_star(fit)
     report["eps_estimate"] = dict(asdict(eps_est), provenance="estimate_eps_star")
 
-    decay = realnum.estimate_delta_star_1d(shifted, cfg, DEFAULT_T_GRID, drawn=images)
+    # The Fourier estimate averages over antithetic pairs: the half and its mirror.
+    decay = realnum.estimate_delta_star_1d(_np.concatenate((images[:half], images[samples:])),
+                                           DEFAULT_T_GRID)
     report["delta_estimate"] = dict(asdict(decay), provenance="estimate_delta_star_1d")
 
     if any(cfg.density_weights or ()):

@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Union
 
-RationalLike = Union[int, Fraction, str, "ExponentValue"]
-
 
 @total_ordering
 class ExponentValue:
@@ -39,12 +37,6 @@ class ExponentValue:
         obj = object.__new__(cls)
         object.__setattr__(obj, "_value", None)
         return obj
-
-    @classmethod
-    def of(cls, value: RationalLike) -> "ExponentValue":
-        if isinstance(value, ExponentValue):
-            return value
-        return cls(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -98,7 +90,6 @@ INF = ExponentValue.infinity()
 class BoundKind(enum.Enum):
     EXACT = "exact"
     LOWER_BOUND = "lower"
-    UPPER_BOUND = "upper"
 
 
 @dataclass(frozen=True)
@@ -111,10 +102,6 @@ class BoundedValue:
 
     value: ExponentValue
     kind: BoundKind = BoundKind.EXACT
-
-    def __str__(self) -> str:
-        prefix = {BoundKind.EXACT: "", BoundKind.LOWER_BOUND: ">=", BoundKind.UPPER_BOUND: "<="}
-        return f"{prefix[self.kind]}{self.value}"
 
 
 @dataclass(frozen=True)
@@ -148,6 +135,3 @@ class LctValue:
 
     value: ExponentValue
     validity: FieldValidity = FieldValidity.ALL_LOCAL_FIELDS
-
-    def __str__(self) -> str:
-        return f"{self.value} [{self.validity.value}]"

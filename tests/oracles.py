@@ -15,7 +15,7 @@ lifting the solutions of the depth above.  The reference shift recenters in
 Fraction arithmetic instead of clearing denominators first.  The reference
 map-spec parser builds a Polynomial per number and variable and multiplies
 them factor by factor instead of summing exponents in place.  The pushforward
-sampler, the uniform histogram and its FFT convolution powers, and the
+sampler, the antithetic sample, the uniform histogram and its FFT convolution powers, and the
 map-spec printer have no caller in the package; the tests and acceptance
 criteria use them as tools.  The masked log histogram and the tail window
 by np.quantile are the forms the library's sorted-copy and read-by-index
@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +351,14 @@ def sample_pushforward(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
     if len(cfg.box) != pmap.n:
         raise ValueError("box dimension must match the map's source dimension")
     return evaluate_array(pmap, sample_source(cfg))[:, 0]
+
+
+def antithetic_sample(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
+    """The 1-D images of the first half = max(count//2, 1) points of cfg's
+    stream followed by the images of their mirrors -z: the sample `esl real`
+    hands the Fourier estimate, drawn here with the half alone."""
+    half = max(cfg.count // 2, 1)
+    return evaluate_array(pmap, sample_source(replace(cfg, count=half)), mirror=half)[:, 0]
 
 
 def out_of_range(h: Histogram) -> float:

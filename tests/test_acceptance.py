@@ -15,7 +15,8 @@ from esl import exponents, padic, polys, realnum
 from esl.lct import lct_monomial, lct_principal_monomial
 from esl.values import ExponentValue
 
-from .oracles import convolution_power, histogram_uniform, sample_pushforward
+from .oracles import (antithetic_sample, convolution_power, histogram_uniform,
+                      sample_pushforward)
 
 SEED = 20250810
 F = Fraction
@@ -109,7 +110,8 @@ def test_criterion_05_fourier_decay_consistency():
     hist, magnitudes = realnum.histogram_log_abs(values, bins=200)
     fit = realnum.fit_tail_exponent(hist, realnum.auto_tail_window(hist, magnitudes))
     eps_hat = realnum.estimate_eps_star(fit).value
-    decay = realnum.estimate_delta_star_1d(square, cfg, np.geomspace(10, 3000, 16))
+    decay = realnum.estimate_delta_star_1d(antithetic_sample(square, cfg),
+                                           np.geomspace(10, 3000, 16))
     delta = decay.delta_hat
     assert 0.43 <= delta <= 0.57, delta
     discrepancy = abs(eps_hat - delta / (1 - delta))

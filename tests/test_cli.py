@@ -2,11 +2,13 @@ import csv
 import inspect
 import json
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import partial
 
 import jsonschema
+import numpy as np
 import pytest
 
 from esl import cli, exponents, lct, padic, polys, realnum, report, simplex
@@ -186,6 +188,32 @@ class TestRealReport:
         real_report(spec, samples=100_000, seed=5, bins=150)
         assert calls["sample_source"] == [100_000]
         assert calls["evaluate_array"] == [150_000]  # the draw and the mirror of its first half
+
+    def test_decay_reads_the_first_half_and_its_mirror(self, monkeypatch):
+        images, given = [], []
+
+        def evaluate_spy(*args, _real=realnum.evaluate_array, **kwargs):
+            out = _real(*args, **kwargs)
+            images.append(out[:, 0].copy())
+            return out
+
+        def decay_spy(values, t_grid, _real=realnum.estimate_delta_star_1d):
+            given.append(values.copy())
+            return _real(values, t_grid)
+
+        monkeypatch.setattr(realnum, "evaluate_array", evaluate_spy)
+        monkeypatch.setattr(realnum, "estimate_delta_star_1d", decay_spy)
+        spec = parse_map_spec("map{n=2,m=1} f1 = x1^2 + x2^3")
+        real_report(spec, samples=100_001, seed=5, bins=150)
+        [drawn], [values] = images, given
+        assert len(drawn) == 150_001 and len(values) == 2 * 50_000
+        assert np.array_equal(values, np.concatenate((drawn[:50_000], drawn[100_001:])))
+
+    def test_wide_target_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "real", "map{n=2,m=2} f1=x1^2 f2=x2^2", "--seed", "1",
+                                 "--samples", "1000")
+        assert (code, out, err) == (
+            2, "", "error: real-field estimation requires a one-dimensional target\n")
 
     def test_one_recentering_per_run(self, capsys, monkeypatch):
         # For n > m = 1 the fiber threshold alone gives the exact exponent.
@@ -480,6 +508,38 @@ class TestCommandLine:
         code, out, err = run_cli(capsys, "padic", "map{n=2,m=2} f1 = x1 f2 = x1*x2",
                                  "-p", "2", "-k", "2", *budget)
         assert (code, out, err) == (2, "", error)
+
+    @pytest.mark.parametrize("argv, error", [
+        (["real", "--samples", "10000000000000"],
+         "sample count 10000000000000 is over the sample limit 100000000"),
+        (["real", "--samples", "100000000000000000000"],
+         "sample count 100000000000000000000 is over the sample limit 100000000"),
+        (["real", "--samples", "1000", "--bins", "100000000000000000000"],
+         "--bins 100000000000000000000 is over the bin limit 1000000"),
+        (["padic", "-p", "3", "-k", "100000000000"],
+         "depth 100000000000 is over the depth limit 10000"),
+        (["padic", "-p", "3", "-k", "10000000000000000000"],
+         "depth 10000000000000000000 is over the depth limit 10000"),
+    ], ids=["samples-1e13", "samples-1e20", "bins-1e20", "depth-1e11", "depth-1e19"])
+    def test_too_large_input_is_refused_before_allocating(self, capsys, argv, error):
+        command, *flags = argv
+        seed = ["--seed", "1"] if command == "real" else []
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, command, "map{n=1,m=1} f1=x1^2", *flags, *seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert peak < 1 << 20
+
+    def test_wide_map_is_refused_by_the_minor_budget(self, capsys):
+        # 705,432 maximal minors, refused before any is expanded.
+        components = " ".join(f"f{j}=x{j}^2*x{j + 11}" for j in range(1, 12))
+        code, out, err = run_cli(capsys, "exact", f"map{{n=22,m=11}} {components}")
+        assert (code, out, err) == (2, "", "error: expanding the Jacobian minors takes more "
+                                    "than 300000 minors and term products, over the minor "
+                                    "budget 300000\n")
 
     def test_negative_depth_is_rejected(self, capsys):
         code, out, err = run_cli(capsys, "padic", "map{n=1,m=1} f1=x1^2", "-p", "3", "-k", "-1")

@@ -82,11 +82,6 @@ class TestMonomialModel:
             got = eps_monomial_model(MonomialLocalModel((m, m), (0, 0)))
             assert got.value == ev(F(1, m - 1))
 
-    def test_lower_bound_kind_without_positive_density(self):
-        got = eps_monomial_model(MonomialLocalModel((2,), (0,)),
-                                 density_positive_at_origin=False)
-        assert got.kind is BoundKind.LOWER_BOUND
-
     def test_invalid_model(self):
         with pytest.raises(ValueError):
             MonomialLocalModel((0,), (0,))

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from esl import polys
+from esl.mapspec import parse_map_spec
 from esl.polys import (
     ExponentOverflowError,
     MAX_EXPONENT,
+    MinorBudgetError,
     NotLocallyDominantError,
     NotMonomialError,
     PolyMap,
@@ -119,6 +121,24 @@ class TestJacobian:
 
     def test_identity_minors(self):
         assert jacobian_minors(PolyMap.identity(3)) == [Polynomial.constant(3, 1)]
+
+    @pytest.mark.parametrize("spec, units", [
+        # One 3 x 3 minor of constants: 3 cofactor products of 2 x 2 minors,
+        # each of which forms 2 more, one term by one: 1 + 3 + 3 * 2.
+        ("map{n=3,m=3} f1=x1+2*x2+3*x3 f2=4*x1+5*x2+6*x3 f3=7*x1+8*x2+10*x3", 10),
+        # One 2 x 2 minor: (2*x1 + 1) * x1 forms 2 term products, 2*x2 * x2 one.
+        ("map{n=2,m=2} f1=x1^2+x2^2+x1 f2=x1*x2", 4),
+        # Three 1 x 1 minors form no product.
+        ("map{n=3,m=1} f1=x1*x2*x3", 3),
+    ])
+    def test_minor_budget_counts_minors_and_term_products(self, monkeypatch, spec, units):
+        pmap = parse_map_spec(spec).poly_map()
+        expected = jacobian_minors(pmap)
+        monkeypatch.setattr(polys, "MINOR_BUDGET", units)
+        assert jacobian_minors(pmap) == expected
+        monkeypatch.setattr(polys, "MINOR_BUDGET", units - 1)
+        with pytest.raises(MinorBudgetError, match=f"over the minor budget {units - 1}$"):
+            jacobian_minors(pmap)
 
     def test_permuting_source_coordinates_permutes_minor_exponents(self):
         n = 3
