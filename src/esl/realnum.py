@@ -7,17 +7,21 @@ asymptotic model near the critical value) and the Fourier-decay exponent.
 
 Determinism: all sampling is sharded with seeds base_seed + shard_index and
 fixed shard size, so a given SampleConfig produces a bit-identical stream on
-one machine and numpy build, and a shorter count draws a prefix.  `esl real`
-evaluates one draw, integer powers as square-and-multiply float products,
-and in the same pass the images of -z for its first half, its antithetic
-mirror, from the sign (-1)^|a| of each term z^a.  The Fourier estimate
-takes the 1-D sample it is given (`esl real` passes that half and its
-mirror), with float32 cos/sin of float64-reduced phases summed in float64
-block by block in reused buffers, chained to equal one whole-array sum
-(1e-9 from complex128; noise floor 10/sqrt(N)).  The frequencies are
-split across the usable cores (the CPU affinity, capped by the cgroup CPU
-quota), each frequency's sums chained as on one core, so the result does
-not depend on the core count.  One weighted line fit, fit_line, and one
+one machine and numpy build, and a shorter count draws a prefix.  One stage,
+evaluate_array, draws and evaluates the sample: each shard continues its
+generator CHUNK rows at a time through reused buffers, and the shards are
+spread over the usable cores (the CPU affinity, capped by the cgroup CPU
+quota), so the images are its only full-length array and neither the chunk
+nor the core count changes a bit of them.  Integer powers are
+square-and-multiply float products, and the same pass gives the images of
+-z for the first rows, their antithetic mirror, from the sign (-1)^|a| of
+each term z^a.  The Fourier estimate takes the 1-D sample it is given
+(`esl real` passes the first half and its mirror), with float32 cos/sin of
+float64-reduced phases summed in float64 block by block in reused buffers,
+chained to equal one whole-array sum (1e-9 from complex128; noise floor
+10/sqrt(N)).  Its frequencies are split across the usable cores, each
+frequency's sums chained as on one core, so the result does not depend on
+the core count.  One weighted line fit, fit_line, and one
 log-power selector, fit_log_power, serve every exponent fit here and the
 depth fits in padic.
 """
@@ -29,7 +33,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _np as np
 from .polys import PolyMap
@@ -42,6 +46,8 @@ MAX_SAMPLES = 10**8
 MAX_BINS = 10**6
 # A multiple of numpy's 8192-element reduce buffer: chained block sums equal one whole-array sum.
 BLOCK = 1 << 16
+# Rows drawn and evaluated at a time; their points, term and column powers stay in cache.
+CHUNK = 1 << 14
 
 
 class ZeroMassBoxError(ValueError):
@@ -171,26 +177,62 @@ class FourierDecayFit:
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# worker threads
 # ---------------------------------------------------------------------------
 
 
-def sample_source(cfg: SampleConfig) -> np.ndarray:
-    """Deterministic (count, n) array of draws from the configured measure."""
+CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _cpu_quota() -> int | None:
+    """Whole CPUs the cgroup v2 quota grants, ceil(quota/period); None when
+    the file is missing or unreadable or reads "max" (no quota)."""
+    try:
+        with open(CPU_MAX, encoding="ascii") as f:
+            quota, period = f.read().split()
+        return -(-int(quota) // int(period))
+    except (OSError, ValueError):
+        return None
+
+
+def _on_cores(jobs: int, job: Callable[[int, int], tuple]) -> None:
+    """Run one thread per usable core, at most jobs: the CPU affinity, capped
+    by the cgroup CPU quota.  job(k, workers) returns worker k's function and
+    its arguments; it runs in the calling thread, so every buffer is allocated
+    before a thread starts.  A worker's exception is raised here, after every
+    thread has ended."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cores or 1, _cpu_quota() or jobs, jobs)
+    calls = [job(k, workers) for k in range(workers)]
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Threads start in an empty context; each worker runs in a copy of the
+    # caller's, so it keeps the caller's numpy errstate.
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, *call) for call in calls]
+        for future in futures:
+            future.result()
+
+
+# ---------------------------------------------------------------------------
+# sampling and evaluation
+# ---------------------------------------------------------------------------
+
+
+def _draw(rng: np.random.Generator, cfg: SampleConfig, rows: np.ndarray) -> None:
+    """Fill rows, an (r, n) block, with the next r*n uniforms of rng's stream,
+    row by row, mapped in place to cfg's law on each axis."""
+    rng.random(out=rows)
     weights = cfg.density_weights or (0,) * len(cfg.box)
-    points = np.empty((cfg.count, len(cfg.box)))
-    for shard, start in enumerate(range(0, cfg.count, SHARD_SIZE)):
-        rows = points[start:start + SHARD_SIZE]
-        np.random.default_rng(cfg.seed + shard).random(out=rows)
-        for axis, ((lo, hi), b) in enumerate(zip(cfg.box, weights)):
-            # Inverse CDF of the density ~ |t|^b on [lo, hi], via H(t) = sign(t) |t|^(b+1)/(b+1);
-            # at b = 0 it is lo + u*(hi - lo), computed in place.
-            h = [math.copysign(abs(t) ** (b + 1) / (b + 1), t) for t in (float(lo), float(hi))]
-            column = rows[:, axis]
-            np.add(np.multiply(column, h[1] - h[0], out=column), h[0], out=column)
-            if b:
-                column[...] = np.sign(column) * (np.abs(column) * (b + 1)) ** (1.0 / (b + 1))
-    return points
+    for axis, ((lo, hi), b) in enumerate(zip(cfg.box, weights)):
+        # Inverse CDF of the density ~ |t|^b on [lo, hi], via H(t) = sign(t) |t|^(b+1)/(b+1);
+        # at b = 0 it is lo + u*(hi - lo), computed in place.
+        h = [math.copysign(abs(t) ** (b + 1) / (b + 1), t) for t in (float(lo), float(hi))]
+        column = rows[:, axis]
+        np.add(np.multiply(column, h[1] - h[0], out=column), h[0], out=column)
+        if b:
+            column[...] = np.sign(column) * (np.abs(column) * (b + 1)) ** (1.0 / (b + 1))
 
 
 def _int_power(base: np.ndarray, e: int) -> np.ndarray:
@@ -203,29 +245,19 @@ def _int_power(base: np.ndarray, e: int) -> np.ndarray:
     return result
 
 
-def evaluate_array(pmap: PolyMap, points: np.ndarray, mirror: int = 0) -> np.ndarray:
-    """Vectorized float evaluation: (N, n) points -> (N + mirror, m) images.
-    The last mirror rows are the images of -points[:mirror], bit for bit:
-    each term z^a is added into them, or subtracted where |a| is odd."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != pmap.n:
-        raise ValueError(f"expected points of shape (N, {pmap.n})")
-    out = np.zeros((len(points) + mirror, pmap.m))
-    term = np.empty(len(points))
+def _evaluate_rows(terms: list, points: np.ndarray, images: np.ndarray,
+                   mirrored: np.ndarray, term: np.ndarray) -> None:
+    """Add the images of the (r, n) points into images, (r, m), and those of
+    -points[:len(mirrored)] into mirrored, bit for bit: each term z^a is
+    added into them, or subtracted where |a| is odd.  term holds r floats."""
     # Each column power x_axis^e is computed once and dropped after its last use.
-    uses = Counter((axis, e) for comp in pmap.components for exps, _ in comp.terms()
+    uses = Counter((axis, e) for comp in terms for exps, _ in comp
                    for axis, e in enumerate(exps) if e)
     powers: dict[tuple[int, int], np.ndarray] = {}
     with np.errstate(over="ignore", invalid="ignore"):  # histogram_log_abs refuses non-finite images
-        for j, comp in enumerate(pmap.components):
-            forward, mirrored = out[:len(points), j], out[len(points):, j]
-            for exps, coeff in comp.terms():
-                try:
-                    c = float(coeff)
-                except OverflowError:
-                    raise CoefficientOverflowError(
-                        f"a coefficient of f{j + 1} overflows double precision "
-                        f"(|c| > {np.finfo(float).max:.3g})") from None
+        for j, comp in enumerate(terms):
+            forward, backward = images[:, j], mirrored[:, j]
+            for exps, c in comp:
                 if not any(exps):
                     term.fill(c)
                 for i, key in enumerate((axis, e) for axis, e in enumerate(exps) if e):
@@ -236,7 +268,46 @@ def evaluate_array(pmap: PolyMap, points: np.ndarray, mirror: int = 0) -> np.nda
                     if not uses[key]:
                         del powers[key]
                 np.add(forward, term, out=forward)
-                (np.subtract if sum(exps) & 1 else np.add)(mirrored, term[:mirror], out=mirrored)
+                mirror_op = np.subtract if sum(exps) & 1 else np.add
+                mirror_op(backward, term[:len(backward)], out=backward)
+
+
+def _evaluate_shards(cfg: SampleConfig, terms: list, out: np.ndarray, mirror: int,
+                     shards: Sequence[int], points: np.ndarray, term: np.ndarray) -> None:
+    """Draw and evaluate the given shards of cfg's sample into out, CHUNK rows
+    at a time through the points and term buffers."""
+    for shard in shards:
+        rng = np.random.default_rng(cfg.seed + shard)
+        end = min((shard + 1) * SHARD_SIZE, cfg.count)
+        for lo in range(shard * SHARD_SIZE, end, CHUNK):
+            hi = min(lo + CHUNK, end)
+            rows = points[:hi - lo]
+            _draw(rng, cfg, rows)
+            _evaluate_rows(terms, rows, out[lo:hi],  # rows past mirror: an empty slice
+                           out[cfg.count + lo:cfg.count + min(hi, mirror)], term[:hi - lo])
+
+
+def evaluate_array(pmap: PolyMap, cfg: SampleConfig, mirror: int = 0) -> np.ndarray:
+    """Draw cfg's sample and evaluate pmap on it: (count + mirror, m) images.
+    The last mirror rows are the images of -z for the first mirror points z."""
+    if len(cfg.box) != pmap.n:
+        raise ValueError(f"expected a box of dimension {pmap.n}")
+    if not 0 <= mirror <= cfg.count:
+        raise ValueError(f"mirror must lie in [0, {cfg.count}]")
+    terms = []  # each component's terms with float coefficients, in the order they are summed
+    for j, comp in enumerate(pmap.components):
+        try:
+            terms.append([(exps, float(coeff)) for exps, coeff in comp.terms()])
+        except OverflowError:
+            raise CoefficientOverflowError(
+                f"a coefficient of f{j + 1} overflows double precision "
+                f"(|c| > {np.finfo(float).max:.3g})") from None
+    out = np.zeros((cfg.count + mirror, pmap.m))
+    shards = range(-(-cfg.count // SHARD_SIZE))
+    width = min(CHUNK, cfg.count)
+    _on_cores(len(shards), lambda k, workers: (
+        _evaluate_shards, cfg, terms, out, mirror, shards[k::workers],
+        np.empty((width, pmap.n)), np.empty(width)))
     return out
 
 
@@ -432,20 +503,6 @@ def _chained_sums(values: np.ndarray, t_grid: np.ndarray, sums: np.ndarray,
             sums[i, 1] = np.add.reduce(np.sin(ph32, out=tr), dtype=np.float64, initial=sums[i, 1])
 
 
-CPU_MAX = "/sys/fs/cgroup/cpu.max"
-
-
-def _cpu_quota() -> int | None:
-    """Whole CPUs the cgroup v2 quota grants, ceil(quota/period); None when
-    the file is missing or unreadable or reads "max" (no quota)."""
-    try:
-        with open(CPU_MAX, encoding="ascii") as f:
-            quota, period = f.read().split()
-        return -(-int(quota) // int(period))
-    except (OSError, ValueError):
-        return None
-
-
 def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     # Bound |t*y| below the double range, so that neither t*y nor its
     # reduction overflows; phases that large are unresolvable all the same.
@@ -455,22 +512,11 @@ def _char_function_magnitudes(values: np.ndarray, t_grid: np.ndarray) -> np.ndar
         values = np.clip(values, -limit, limit)
     # Worker k sums the frequencies t_grid[k::workers] over every block in
     # order, so each frequency's sums chain exactly as on one core.
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cores or 1, _cpu_quota() or len(t_grid), len(t_grid))
     sums = np.zeros((len(t_grid), 2))
     width = min(BLOCK, len(values))
-    jobs = [(values, t_grid[k::workers], sums[k::workers],
-             np.empty((2, width)), np.empty((2, width), np.float32)) for k in range(workers)]
-    import contextvars
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Threads start in an empty context; each worker runs in a copy of the
-    # caller's, so it keeps the caller's numpy errstate.
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _chained_sums, *job)
-                   for job in jobs]
-        for future in futures:
-            future.result()
+    _on_cores(len(t_grid), lambda k, workers: (
+        _chained_sums, values, t_grid[k::workers], sums[k::workers],
+        np.empty((2, width)), np.empty((2, width), np.float32)))
     return np.array([math.hypot(c / len(values), s / len(values)) for c, s in sums])
 
 
@@ -495,7 +541,11 @@ def estimate_delta_star_1d(values: np.ndarray, t_grid: Sequence[float]) -> Fouri
     if len(t_grid) < 4 or t_grid[0] <= 0:
         raise ValueError("need at least four positive frequencies")
     t_range = (float(t_grid[0]), float(t_grid[-1]))
-    if np.min(np.abs(values)) >= 2.0**53 / t_grid[0]:
+    # min |y|, block by block through one buffer: np.abs(values) would copy the sample.
+    scratch = np.empty(min(BLOCK, len(values)), values.dtype)
+    least = np.min([np.min(np.abs(block, out=scratch[:len(block)]))
+                    for block in (values[s:s + BLOCK] for s in range(0, len(values), BLOCK))])
+    if least >= 2.0**53 / t_grid[0]:
         return FourierDecayFit(0.0, 0.0, t_range, flag="unresolvable")
 
     mags = _char_function_magnitudes(values, t_grid)

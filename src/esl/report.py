@@ -191,7 +191,7 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
 
     # One pass evaluates the draw and the antithetic mirror of its first half.
     half = max(samples // 2, 1)
-    images = realnum.evaluate_array(shifted, realnum.sample_source(cfg), mirror=half)[:, 0]
+    images = realnum.evaluate_array(shifted, cfg, mirror=half)[:, 0]
     hist, magnitudes = realnum.histogram_log_abs(images[:samples], bins=bins)
     window = realnum.auto_tail_window(hist, magnitudes)
     del magnitudes  # 8 bytes a sample that the Fourier estimate need not carry

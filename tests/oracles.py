@@ -6,12 +6,13 @@ pivots a tableau of Fraction entries instead of an integer one over a
 common denominator, the integral oracles use direct quadrature/series,
 the characteristic function is taken in complex128, the density oracle
 sums change-of-variables terms over exactly
-isolated real roots, the per-frequency Fourier kernel and the column-stacked
-sampler are the unblocked forms the library's buffered kernels must match
-bit for bit, the float evaluator multiplies Python floats term by term, the
-bump sampler draws a smooth compactly supported law by rejection, and the
-cylinder oracle enumerates all of (Z/p^k)^n afresh at every depth instead of
-lifting the solutions of the depth above.  The reference shift recenters in
+isolated real roots, the per-frequency Fourier kernel, the column-stacked
+sampler and the whole-array evaluator are the unblocked forms the library's
+buffered kernels and chunked sample stage must match bit for bit, the float
+evaluator multiplies Python floats term by term, the bump sampler draws a
+smooth compactly supported law by rejection, and the cylinder oracle
+enumerates all of (Z/p^k)^n afresh at every depth instead of lifting the
+solutions of the depth above.  The reference shift recenters in
 Fraction arithmetic instead of clearing denominators first.  The reference
 map-spec parser builds a Polynomial per number and variable and multiplies
 them factor by factor instead of summing exponents in place.  The pushforward
@@ -29,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -38,7 +40,7 @@ from esl.lct import MonomialIdeal
 from esl.mapspec import MapSpec, MapSpecError, NegativeExponentError, UnknownVariableError
 from esl.padic import BudgetExceededError, _integer_coefficient_terms
 from esl.polys import Polynomial, PolyMap, substitute_affine
-from esl.realnum import SHARD_SIZE, Histogram, SampleConfig, evaluate_array, sample_source
+from esl.realnum import SHARD_SIZE, Histogram, SampleConfig, evaluate_array
 from esl.simplex import InfeasibleError, UnboundedError
 
 
@@ -299,7 +301,8 @@ def char_function_magnitudes_per_frequency(values: np.ndarray, t_grid) -> np.nda
 
 
 def float_power(x: float, e: int) -> float:
-    """x**e for an integer e >= 1 by square-and-multiply in Python floats."""
+    """x**e for an integer e >= 1 by square-and-multiply in Python floats
+    (or elementwise, for an array x)."""
     result = None
     while True:
         if e & 1:
@@ -344,13 +347,42 @@ def sample_source_stacked(cfg: SampleConfig) -> np.ndarray:
     return np.concatenate(shards)
 
 
+def evaluate_array_reference(pmap: PolyMap, points: np.ndarray, mirror: int = 0) -> np.ndarray:
+    """The whole-array evaluator: (N, n) points -> (N + mirror, m) images, the
+    last mirror rows those of -points[:mirror], each term z^a added into them,
+    or subtracted where |a| is odd; full-length term and column-power arrays."""
+    points = np.asarray(points, dtype=float)
+    out = np.zeros((len(points) + mirror, pmap.m))
+    term = np.empty(len(points))
+    uses = Counter((axis, e) for comp in pmap.components for exps, _ in comp.terms()
+                   for axis, e in enumerate(exps) if e)
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, comp in enumerate(pmap.components):
+            forward, mirrored = out[:len(points), j], out[len(points):, j]
+            for exps, coeff in comp.terms():
+                c = float(coeff)
+                if not any(exps):
+                    term.fill(c)
+                for i, key in enumerate((axis, e) for axis, e in enumerate(exps) if e):
+                    if key not in powers:
+                        powers[key] = float_power(points[:, key[0]], key[1])  # arrays too
+                    np.multiply(term if i else c, powers[key], out=term)
+                    uses[key] -= 1
+                    if not uses[key]:
+                        del powers[key]
+                np.add(forward, term, out=forward)
+                (np.subtract if sum(exps) & 1 else np.add)(mirrored, term[:mirror], out=mirrored)
+    return out
+
+
 def sample_pushforward(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
     """I.i.d. pushforward values phi(X); one-dimensional targets only."""
     if pmap.m != 1:
         raise ValueError("pushforward sampling is implemented for one-dimensional targets")
     if len(cfg.box) != pmap.n:
         raise ValueError("box dimension must match the map's source dimension")
-    return evaluate_array(pmap, sample_source(cfg))[:, 0]
+    return evaluate_array(pmap, cfg)[:, 0]
 
 
 def antithetic_sample(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
@@ -358,7 +390,7 @@ def antithetic_sample(pmap: PolyMap, cfg: SampleConfig) -> np.ndarray:
     stream followed by the images of their mirrors -z: the sample `esl real`
     hands the Fourier estimate, drawn here with the half alone."""
     half = max(cfg.count // 2, 1)
-    return evaluate_array(pmap, sample_source(replace(cfg, count=half)), mirror=half)[:, 0]
+    return evaluate_array(pmap, replace(cfg, count=half), mirror=half)[:, 0]
 
 
 def out_of_range(h: Histogram) -> float:

@@ -177,17 +177,23 @@ class TestRealReport:
         assert code == 0
 
     def test_one_draw_serves_tail_fit_and_decay(self, monkeypatch):
-        calls: dict[str, list[int]] = {"sample_source": [], "evaluate_array": []}
-        for name, rows in calls.items():
-            def spy(*args, _real=getattr(realnum, name), _rows=rows, **kwargs):
-                out = _real(*args, **kwargs)
-                _rows.append(out.shape[0])
-                return out
-            monkeypatch.setattr(realnum, name, spy)
+        drawn, evaluated = [], []
+
+        def draw_spy(rng, cfg, rows, _real=realnum._draw):
+            drawn.append(len(rows))  # from the worker threads; list.append is atomic
+            _real(rng, cfg, rows)
+
+        def evaluate_spy(*args, _real=realnum.evaluate_array, **kwargs):
+            out = _real(*args, **kwargs)
+            evaluated.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(realnum, "_draw", draw_spy)
+        monkeypatch.setattr(realnum, "evaluate_array", evaluate_spy)
         spec = parse_map_spec("map{n=2,m=1} f1 = x1^2 + x2^3")
         real_report(spec, samples=100_000, seed=5, bins=150)
-        assert calls["sample_source"] == [100_000]
-        assert calls["evaluate_array"] == [150_000]  # the draw and the mirror of its first half
+        assert sum(drawn) == 100_000 and max(drawn) <= realnum.CHUNK
+        assert evaluated == [150_000]  # the draw and the mirror of its first half
 
     def test_decay_reads_the_first_half_and_its_mirror(self, monkeypatch):
         images, given = [], []
@@ -310,7 +316,7 @@ class TestCommandLine:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before validating --weights")
 
-        monkeypatch.setattr(realnum, "sample_source", no_sampling)
+        monkeypatch.setattr(realnum, "_draw", no_sampling)
         code, out, err = run_cli(capsys, "real", "map{n=2,m=1} f1=x1^2*x2", "--seed", "1",
                                  "--weights", weights)
         assert (code, out, err) == (

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from esl.mapspec import parse_map_spec
 from esl.polys import Polynomial, PolyMap, shift_to_origin
 from esl.realnum import (
     BLOCK,
+    CHUNK,
     SHARD_SIZE,
     Histogram,
     SampleConfig,
@@ -29,7 +31,6 @@ from esl.realnum import (
     fit_log_power,
     fit_tail_exponent,
     histogram_log_abs,
-    sample_source,
 )
 from esl.report import DEFAULT_T_GRID
 from .oracles import (
@@ -42,6 +43,7 @@ from .oracles import (
     char_function_magnitudes_per_frequency,
     convolution_power,
     density_oracle_equidim_1d,
+    evaluate_array_reference,
     evaluate_float,
     float_power,
     histogram_log_abs_masked,
@@ -62,6 +64,16 @@ def unit_cfg(count, **kwargs):
     return SampleConfig.unit_box(seed=SEED, count=count, n=1, **kwargs)
 
 
+def evaluate_points(pmap, points, mirror=0):
+    """The sample stage's chunk evaluator on the given (N, n) points:
+    (N + mirror, m) images, the last mirror rows those of -points[:mirror]."""
+    out = np.zeros((len(points) + mirror, pmap.m))
+    terms = [[(exps, float(coeff)) for exps, coeff in comp.terms()] for comp in pmap.components]
+    realnum._evaluate_rows(terms, points, out[:len(points)], out[len(points):],
+                           np.empty(len(points)))
+    return out
+
+
 class TestSampling:
     def test_determinism_bit_identical(self):
         cfg = unit_cfg(300_000)
@@ -74,15 +86,16 @@ class TestSampling:
     def test_half_stream_is_a_prefix_of_the_full_one(self, count, weights):
         cfg = unit_cfg(count, density_weights=weights)
         half = max(count // 2, 1)
-        full = sample_source(cfg)
-        assert np.array_equal(sample_source(replace(cfg, count=half)), full[:half])
+        full = evaluate_array(IDENTITY, cfg)
+        assert np.array_equal(evaluate_array(IDENTITY, replace(cfg, count=half)), full[:half])
 
     @pytest.mark.parametrize("weights", [None, (1,), (0, 2, 1)])
     def test_shards_match_the_column_stacked_sampler(self, weights):
         n = len(weights) if weights else 1
         box = ((-1, 1), (Fraction(-1, 2), Fraction(3, 4)), (0, 2))[:n]
         cfg = SampleConfig(seed=SEED, count=2 * SHARD_SIZE + 3, box=box, density_weights=weights)
-        assert np.array_equal(sample_source(cfg), sample_source_stacked(cfg))
+        # The identity's images are the drawn points.
+        assert np.array_equal(evaluate_array(PolyMap.identity(n), cfg), sample_source_stacked(cfg))
 
     def test_identity_kolmogorov_distance(self):
         values = sample_pushforward(IDENTITY, unit_cfg(100_000))
@@ -111,7 +124,7 @@ class TestSampling:
     def test_monomial_weights_change_the_law(self):
         cfg = SampleConfig(seed=SEED, count=200_000,
                            box=((Fraction(-1), Fraction(1)),), density_weights=(2,))
-        values = sample_source(cfg)[:, 0]
+        values = sample_pushforward(IDENTITY, cfg)
         # density ~ x^2 on [-1,1]: P(|x| <= 1/2) = (1/2)^3
         mass = np.mean(np.abs(values) <= 0.5)
         assert abs(mass - 0.125) < 0.01
@@ -127,9 +140,11 @@ class TestSampling:
 
     def test_evaluate_array_matches_scalar(self):
         pmap = PolyMap([X**2 + Fraction(1, 3)])
-        pts = np.array([[0.5], [-0.25]])
-        out = evaluate_array(pmap, pts)
-        assert np.allclose(out[:, 0], [0.25 + 1 / 3, 0.0625 + 1 / 3])
+        cfg = unit_cfg(5)
+        out = evaluate_array(pmap, cfg)
+        assert np.allclose(out[:, 0], sample_source_stacked(cfg)[:, 0] ** 2 + 1 / 3)
+        assert np.allclose(evaluate_points(pmap, np.array([[0.5], [-0.25]]))[:, 0],
+                           [0.25 + 1 / 3, 0.0625 + 1 / 3])
 
 
 class TestExactPowers:
@@ -137,7 +152,7 @@ class TestExactPowers:
 
     @pytest.mark.parametrize("e", [*range(1, 10), 56, 130])
     def test_square_and_multiply_bit_for_bit(self, e):
-        got = evaluate_array(PolyMap([X**e]), np.array(self.POINTS)[:, None])[:, 0]
+        got = evaluate_points(PolyMap([X**e]), np.array(self.POINTS)[:, None])[:, 0]
         assert np.array_equal(got, [float_power(x, e) for x in self.POINTS])
         # e - 1 rounded products: relative error at most (1 + 2^-53)^(e-1) - 1.
         bound = (1 + Fraction(1, 2**53)) ** (e - 1) - 1
@@ -151,7 +166,7 @@ class TestExactPowers:
                               "f2=x1^3*x3^5+1/3*x2^2-x3 at (1/2, -3/4, 1/3)")
         pmap = shift_to_origin(spec.poly_map(), spec.point)
         points = np.random.default_rng(SEED).uniform(-1, 1, (200, 3))
-        got = evaluate_array(pmap, points)
+        got = evaluate_points(pmap, points)
         assert np.array_equal(got, [evaluate_float(pmap, point) for point in points])
 
     @given(st.data())
@@ -168,10 +183,10 @@ class TestExactPowers:
             -1.5, 1.5, (rows, n))
         points[::5, 0] = 0.0
         h = data.draw(st.integers(1, rows))
-        got = evaluate_array(pmap, points, mirror=h)
+        got = evaluate_points(pmap, points, mirror=h)
         assert got.shape == (rows + h, m)
-        assert np.array_equal(got[:rows], evaluate_array(pmap, points))
-        assert np.array_equal(got[rows:], evaluate_array(pmap, -points[:h]))
+        assert np.array_equal(got[:rows], evaluate_points(pmap, points))
+        assert np.array_equal(got[rows:], evaluate_points(pmap, -points[:h]))
         assert np.array_equal(got[rows:], [evaluate_float(pmap, -point) for point in points[:h]])
 
 
@@ -368,7 +383,7 @@ class TestFourierDecay:
 
     def test_smooth_bump_classified_superpolynomial(self):
         points = bump_sample(SEED, 400_000)
-        images = evaluate_array(IDENTITY, points, mirror=200_000)[:, 0]
+        images = evaluate_points(IDENTITY, points, mirror=200_000)[:, 0]
         fit = estimate_delta_star_1d(np.concatenate((images[:200_000], images[400_000:])),
                                      np.geomspace(3, 100, 12))
         assert fit.flag == "superpolynomial"
@@ -378,16 +393,35 @@ class TestFourierDecay:
         pmap = shift_to_origin(parse_map_spec("map{n=2,m=1} f1=x1^2-x2^3").poly_map(), (0, 0))
         cfg = SampleConfig(seed=SEED, count=100_001,
                            box=((-1, 1), (Fraction(-3, 4), Fraction(3, 4))))
-        points = sample_source(cfg)
-        images = evaluate_array(pmap, points, mirror=50_000)[:, 0]
+        images = evaluate_array(pmap, cfg, mirror=50_000)[:, 0]
         values = np.concatenate((images[:50_000], images[100_001:]))
         from_copy = estimate_delta_star_1d(values.copy(), DEFAULT_T_GRID)
         assert estimate_delta_star_1d(values, DEFAULT_T_GRID) == from_copy
-        # The caller's points, images and sample are left as they were.
-        assert np.array_equal(points, sample_source(cfg))
-        assert np.array_equal(images, evaluate_array(pmap, points, mirror=50_000)[:, 0])
+        # The caller's images and sample are left as they were.
+        assert np.array_equal(images, evaluate_array(pmap, cfg, mirror=50_000)[:, 0])
         assert np.array_equal(values, antithetic_sample(pmap, cfg))
         assert estimate_delta_star_1d(antithetic_sample(pmap, cfg), DEFAULT_T_GRID) == from_copy
+
+    @pytest.mark.parametrize("at", [None, 0, BLOCK - 1, BLOCK, 2 * BLOCK + 2])
+    def test_one_small_value_among_huge_ones_is_resolvable(self, at):
+        values = np.full(2 * BLOCK + 3, 1e300)
+        values[1::2] *= -1
+        if at is not None:
+            values[at] = -0.5
+        unresolvable = np.min(np.abs(values)) >= 2.0**53 / DEFAULT_T_GRID[0]
+        assert unresolvable == (at is None)
+        assert (estimate_delta_star_1d(values, DEFAULT_T_GRID).flag == "unresolvable") == unresolvable
+
+    def test_unresolvable_guard_copies_nothing(self):
+        values = np.full(1_000_000, -1e300)
+        tracemalloc.start()
+        try:
+            fit = estimate_delta_star_1d(values, DEFAULT_T_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.flag == "unresolvable"
+        assert peak < BLOCK * 8 + (1 << 20)  # one block-sized buffer, not a copy of 8 MB
 
 
 def use_cores(monkeypatch, cores, quota=None):
@@ -484,6 +518,112 @@ class TestCharFunctionKernel:
         assert np.all(np.isfinite(mags))
         assert np.all((mags >= 0) & (mags <= 1))
         assert np.array_equal(mags, char_function_magnitudes_per_frequency(values, DEFAULT_T_GRID))
+
+
+class TestSampleStage:
+    # One term of each kind: constants, odd and even degrees, shared column powers.
+    MAPS = {
+        "n1": "map{n=1,m=1} f1=3 - x1^3 + 1/7*x1^2 + x1^8",
+        "n2": "map{n=2,m=1} f1=x1^2*x2 - 5/3*x2^4 + 2 at (1/2, -1/3)",
+        "n3m2": "map{n=3,m=2} f1=2*x1^3*x2^2-x1^3+x2^2*x3^5+1 "
+                "f2=x1^3*x3^5+1/3*x2^2-x3 at (1/2, -3/4, 1/3)",
+    }
+
+    @classmethod
+    def pmap(cls, name):
+        spec = parse_map_spec(cls.MAPS[name])
+        return shift_to_origin(spec.poly_map(), spec.point or (Fraction(0),) * spec.n)
+
+    @staticmethod
+    def assert_matches_reference(monkeypatch, pmap, cfg, mirrors):
+        points = sample_source_stacked(cfg)
+        threads = threading.active_count()
+        for mirror in mirrors:
+            want = evaluate_array_reference(pmap, points, mirror)
+            for cores in (1, 3):
+                use_cores(monkeypatch, cores)
+                got = evaluate_array(pmap, cfg, mirror)
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+                assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK + 1, SHARD_SIZE - 1, SHARD_SIZE + 1,
+                                       2 * SHARD_SIZE + 5, 1_000_000])
+    def test_matches_the_whole_array_reference(self, monkeypatch, count):
+        cfg = SampleConfig.unit_box(seed=SEED, count=count, n=3)
+        self.assert_matches_reference(monkeypatch, self.pmap("n3m2"), cfg,
+                                      sorted({0, 1, count // 2, count}))
+
+    @pytest.mark.parametrize("name, weights", [("n1", None), ("n1", (3,)), ("n2", (0, 2)),
+                                               ("n3m2", (1, 0, 4))])
+    def test_maps_and_weights_match_the_whole_array_reference(self, monkeypatch, name, weights):
+        pmap = self.pmap(name)
+        cfg = SampleConfig.unit_box(seed=SEED, count=2 * SHARD_SIZE + 5, n=pmap.n,
+                                    density_weights=weights)
+        self.assert_matches_reference(monkeypatch, pmap, cfg, [cfg.count // 2])
+
+    @pytest.mark.parametrize("n, mirror", [(2, 0), (1, -1), (1, 11)])
+    def test_wrong_box_or_mirror_refused(self, n, mirror):
+        with pytest.raises(ValueError):
+            evaluate_array(IDENTITY, SampleConfig.unit_box(seed=1, count=10, n=n), mirror)
+
+    def test_coefficient_overflow_raised_before_drawing(self, monkeypatch):
+        def no_drawing(*args):
+            raise AssertionError("drew before checking the coefficients")
+
+        monkeypatch.setattr(realnum, "_draw", no_drawing)
+        monkeypatch.setattr(realnum, "_on_cores", no_drawing)
+        pmap = PolyMap([X**2 + Fraction(10**400) * X])
+        with pytest.raises(realnum.CoefficientOverflowError, match="a coefficient of f1"):
+            evaluate_array(pmap, unit_cfg(1_000_000), mirror=500_000)
+
+    def test_only_the_images_are_full_length(self):
+        count = 1_000_000
+        pmap = PolyMap([Polynomial.variable(3, 0) * Polynomial.variable(3, 1)
+                        * Polynomial.variable(3, 2)])
+        cfg = SampleConfig.unit_box(seed=SEED, count=count, n=3)
+        tracemalloc.start()
+        try:
+            images = evaluate_array(pmap, cfg, mirror=count // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert images.shape == (count + count // 2, 1)
+        assert peak < (count + count // 2) * 8 + (4 << 20)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        ran_in = []
+
+        def failing(cfg, terms, out, mirror, shards, *buffers):
+            ran_in.append(threading.current_thread())
+            if shards[0] == 1:
+                raise ArithmeticError("the second worker failed")
+
+        monkeypatch.setattr(realnum, "_evaluate_shards", failing)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="the second worker failed"):
+            evaluate_array(IDENTITY, unit_cfg(2 * SHARD_SIZE))
+        assert len(ran_in) == 2 and threading.main_thread() not in ran_in
+        assert threading.active_count() == threads
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        use_cores(monkeypatch, 2)
+        seen = []
+        monkeypatch.setattr(realnum, "_evaluate_shards",
+                            lambda *job: seen.append(np.geterr()["over"]))
+        with np.errstate(over="raise"):
+            evaluate_array(IDENTITY, unit_cfg(2 * SHARD_SIZE))
+        assert seen == ["raise", "raise"]
+
+    @pytest.mark.parametrize("cores, quota, workers", [(8, None, 5), (8, 3, 3), (2, 5, 2),
+                                                       (8, 1, 1)])
+    def test_workers_capped_by_the_cpu_quota(self, monkeypatch, cores, quota, workers):
+        use_cores(monkeypatch, cores, quota)
+        started = []
+        monkeypatch.setattr(realnum, "_evaluate_shards", lambda *job: started.append(job[4]))
+        evaluate_array(IDENTITY, unit_cfg(4 * SHARD_SIZE + 1))  # five shards
+        assert len(started) == workers
+        assert sorted(shard for shards in started for shard in shards) == list(range(5))
 
 
 class TestConvolution:
