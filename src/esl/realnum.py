@@ -11,18 +11,19 @@ one machine and numpy build, and a shorter count draws a prefix.  One stage,
 evaluate_array, draws and evaluates the sample: each shard continues its
 generator CHUNK rows at a time through reused buffers, and the shards are
 spread over the usable cores (the CPU affinity, capped by the cgroup CPU
-quota), so the images are its only full-length array and neither the chunk
-nor the core count changes a bit of them.  Integer powers are
-square-and-multiply float products, and the same pass gives the images of
--z for the first rows, their antithetic mirror, from the sign (-1)^|a| of
-each term z^a.  The Fourier estimate takes the 1-D sample it is given
-(`esl real` passes the first half and its mirror), with float32 cos/sin of
-float64-reduced phases summed in float64 block by block in reused buffers,
-chained to equal one whole-array sum (1e-9 from complex128; noise floor
-10/sqrt(N)).  Its frequencies are split across the usable cores, each
-frequency's sums chained as on one core, so the result does not depend on
-the core count.  One weighted line fit, fit_line, and one
-log-power selector, fit_log_power, serve every exponent fit here and the
+quota), so the images are its only full-length array and neither the chunk nor
+the core count changes a bit of them.  Integer powers are square-and-multiply
+float products, and the same pass gives the images of -z for the first rows,
+their antithetic mirror, from the sign (-1)^|a| of each term z^a; the first
+rows are laid out last, before their mirrors.  `esl real` passes the Fourier
+estimate a view of the images (the first half and its mirror), then sorts the
+draw's magnitudes in place for the tail fit.  The Fourier estimate takes the
+1-D sample it is given, with float32 cos/sin of float64-reduced phases summed
+in float64 block by block in reused buffers, chained to equal one whole-array
+sum (1e-9 from complex128; noise floor 10/sqrt(N)).  Its frequencies are split
+across the usable cores, each frequency's sums chained as on one core, so the
+result does not depend on the core count.  One weighted line fit, fit_line, and
+one log-power selector, fit_log_power, serve every exponent fit here and the
 depth fits in padic.
 """
 
@@ -254,7 +255,7 @@ def _evaluate_rows(terms: list, points: np.ndarray, images: np.ndarray,
     uses = Counter((axis, e) for comp in terms for exps, _ in comp
                    for axis, e in enumerate(exps) if e)
     powers: dict[tuple[int, int], np.ndarray] = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # histogram_log_abs refuses non-finite images
+    with np.errstate(over="ignore", invalid="ignore"):  # refuse_overflow refuses non-finite images
         for j, comp in enumerate(terms):
             forward, backward = images[:, j], mirrored[:, j]
             for exps, c in comp:
@@ -278,18 +279,21 @@ def _evaluate_shards(cfg: SampleConfig, terms: list, out: np.ndarray, mirror: in
     at a time through the points and term buffers."""
     for shard in shards:
         rng = np.random.default_rng(cfg.seed + shard)
-        end = min((shard + 1) * SHARD_SIZE, cfg.count)
-        for lo in range(shard * SHARD_SIZE, end, CHUNK):
-            hi = min(lo + CHUNK, end)
-            rows = points[:hi - lo]
+        lo, end = shard * SHARD_SIZE, min((shard + 1) * SHARD_SIZE, cfg.count)
+        while lo < end:  # chunks are also cut at mirror; the generator runs on across the cut
+            hi = min(lo + CHUNK, end, mirror if lo < mirror else end)
+            rows, at = points[:hi - lo], (lo - mirror) % cfg.count  # the row of draw lo
             _draw(rng, cfg, rows)
-            _evaluate_rows(terms, rows, out[lo:hi],  # rows past mirror: an empty slice
+            _evaluate_rows(terms, rows, out[at:at + hi - lo],  # rows past mirror: an empty slice
                            out[cfg.count + lo:cfg.count + min(hi, mirror)], term[:hi - lo])
+            lo = hi
 
 
 def evaluate_array(pmap: PolyMap, cfg: SampleConfig, mirror: int = 0) -> np.ndarray:
     """Draw cfg's sample and evaluate pmap on it: (count + mirror, m) images.
-    The last mirror rows are the images of -z for the first mirror points z."""
+    Draws mirror, ..., count - 1 fill the first rows, then come draws 0, ...,
+    mirror - 1 and the images of their mirrors -z: out[:count] holds every
+    draw, out[count - mirror:] the first mirror draws and their mirrors."""
     if len(cfg.box) != pmap.n:
         raise ValueError(f"expected a box of dimension {pmap.n}")
     if not 0 <= mirror <= cfg.count:
@@ -316,16 +320,23 @@ def evaluate_array(pmap: PolyMap, cfg: SampleConfig, mirror: int = 0) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def histogram_log_abs(values: np.ndarray, bins: int, lo: float | None = None,
-                      hi: float | None = None) -> tuple[Histogram, np.ndarray]:
-    """Histogram of |values| on log-spaced edges, and the positive |values| it
-    binned, ascending (a view of one sorted copy); zeros fall out of range."""
-    magnitudes = np.abs(np.asarray(values, dtype=float))
-    magnitudes.sort()
-    if magnitudes.size and not np.isfinite(magnitudes[-1]):  # inf and NaN sort last
+def refuse_overflow(values: np.ndarray) -> None:
+    """Raise ValueOverflowError on an inf or a NaN in values; copies nothing."""
+    if values.size and not (np.isfinite(values.max()) and np.isfinite(values.min())):
         raise ValueOverflowError(
             f"the pushforward values overflow double precision (|y| > "
             f"{np.finfo(float).max:.3g}); lower the map's coefficients or use `esl exact`")
+
+
+def histogram_log_abs(values: np.ndarray, bins: int, lo: float | None = None,
+                      hi: float | None = None) -> tuple[Histogram, np.ndarray]:
+    """Histogram of |values| on log-spaced edges, and the positive |values| it
+    binned, ascending; zeros fall out of range.  A float64 array argument is
+    overwritten with its sorted magnitudes, and the positive ones are a view."""
+    magnitudes = np.asarray(values, dtype=float)
+    np.abs(magnitudes, out=magnitudes)
+    magnitudes.sort()
+    refuse_overflow(magnitudes[-1:])  # inf and NaN sort last
     positive = magnitudes[magnitudes.searchsorted(0.0, side="right"):]
     if positive.size == 0:
         raise ValueError("no nonzero values to bin")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Sequence
 
-from . import _np, exponents, padic, polys, realnum
+from . import exponents, padic, polys, realnum
 from .lct import MonomialIdeal
 from .mapspec import MapSpec
 from .values import ExponentValue, FieldValidity
@@ -189,22 +189,21 @@ def real_report(spec: MapSpec, samples: int, seed: int, bins: int,
         "density_weights": list(cfg.density_weights) if cfg.density_weights else None,
     }
 
-    # One pass evaluates the draw and the antithetic mirror of its first half.
+    # One pass evaluates the draw and the antithetic mirror of its first half,
+    # which the images end with.  The Fourier estimate reads those pairs in
+    # place; then the histogram sorts the draw's magnitudes over the images.
     half = max(samples // 2, 1)
     images = realnum.evaluate_array(shifted, cfg, mirror=half)[:, 0]
+    realnum.refuse_overflow(images[:samples])
+    decay = realnum.estimate_delta_star_1d(images[samples - half:], DEFAULT_T_GRID)
     hist, magnitudes = realnum.histogram_log_abs(images[:samples], bins=bins)
     window = realnum.auto_tail_window(hist, magnitudes)
-    del magnitudes  # 8 bytes a sample that the Fourier estimate need not carry
     fit = realnum.fit_tail_exponent(hist, window)
     report["tail_fit"] = dict(asdict(fit), provenance="fit_tail_exponent",
                               window_bins=list(window))
 
     eps_est = realnum.estimate_eps_star(fit)
     report["eps_estimate"] = dict(asdict(eps_est), provenance="estimate_eps_star")
-
-    # The Fourier estimate averages over antithetic pairs: the half and its mirror.
-    decay = realnum.estimate_delta_star_1d(_np.concatenate((images[:half], images[samples:])),
-                                           DEFAULT_T_GRID)
     report["delta_estimate"] = dict(asdict(decay), provenance="estimate_delta_star_1d")
 
     if any(cfg.density_weights or ()):

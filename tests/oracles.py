@@ -348,10 +348,11 @@ def sample_source_stacked(cfg: SampleConfig) -> np.ndarray:
 
 
 def evaluate_array_reference(pmap: PolyMap, points: np.ndarray, mirror: int = 0) -> np.ndarray:
-    """The whole-array evaluator: (N, n) points -> (N + mirror, m) images, the
-    last mirror rows those of -points[:mirror], each term z^a added into them,
-    or subtracted where |a| is odd; full-length term and column-power arrays."""
-    points = np.asarray(points, dtype=float)
+    """The whole-array evaluator: (N, n) points -> (N + mirror, m) images of
+    points[mirror:], then of points[:mirror], then of -points[:mirror] (each
+    term z^a added, or subtracted where |a| is odd); full-length term and
+    column-power arrays."""
+    points = np.roll(np.asarray(points, dtype=float), -mirror, axis=0)
     out = np.zeros((len(points) + mirror, pmap.m))
     term = np.empty(len(points))
     uses = Counter((axis, e) for comp in pmap.components for exps, _ in comp.terms()
@@ -372,7 +373,8 @@ def evaluate_array_reference(pmap: PolyMap, points: np.ndarray, mirror: int = 0)
                     if not uses[key]:
                         del powers[key]
                 np.add(forward, term, out=forward)
-                (np.subtract if sum(exps) & 1 else np.add)(mirrored, term[:mirror], out=mirrored)
+                (np.subtract if sum(exps) & 1 else np.add)(mirrored, term[len(term) - mirror:],
+                                                           out=mirrored)
     return out
 
 

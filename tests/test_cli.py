@@ -196,24 +196,64 @@ class TestRealReport:
         assert evaluated == [150_000]  # the draw and the mirror of its first half
 
     def test_decay_reads_the_first_half_and_its_mirror(self, monkeypatch):
-        images, given = [], []
+        outputs, images, given = [], [], []
 
         def evaluate_spy(*args, _real=realnum.evaluate_array, **kwargs):
             out = _real(*args, **kwargs)
+            outputs.append(out)
             images.append(out[:, 0].copy())
             return out
 
         def decay_spy(values, t_grid, _real=realnum.estimate_delta_star_1d):
+            assert np.shares_memory(values, outputs[0])  # a view, not a copy
             given.append(values.copy())
             return _real(values, t_grid)
 
         monkeypatch.setattr(realnum, "evaluate_array", evaluate_spy)
         monkeypatch.setattr(realnum, "estimate_delta_star_1d", decay_spy)
         spec = parse_map_spec("map{n=2,m=1} f1 = x1^2 + x2^3")
-        real_report(spec, samples=100_001, seed=5, bins=150)
+        samples, half = 100_001, 50_000
+        real_report(spec, samples=samples, seed=5, bins=150)
         [drawn], [values] = images, given
-        assert len(drawn) == 150_001 and len(values) == 2 * 50_000
-        assert np.array_equal(values, np.concatenate((drawn[:50_000], drawn[100_001:])))
+        assert len(drawn) == samples + half and len(values) == 2 * half
+        # Draw i sits in row (i - half) mod samples; the mirror of draw i in row samples + i.
+        first_half = drawn[(np.arange(half) - half) % samples]
+        assert np.array_equal(values, np.concatenate((first_half, drawn[samples:])))
+        # The first half by draw index, from a draw without a mirror.
+        shifted = polys.shift_to_origin(spec.poly_map(), (0, 0))
+        cfg = realnum.SampleConfig.unit_box(seed=5, count=samples, n=2)
+        plain = realnum.evaluate_array(shifted, cfg)[:, 0]
+        assert np.array_equal(first_half, plain[:half])
+        assert np.array_equal(np.sort(drawn[:samples]), np.sort(plain))
+
+    def test_report_holds_one_full_length_array(self):
+        # x1*x2*x3 at (3/4, 1/2, 1/2) recenters to seven terms.
+        spec = parse_map_spec("map{n=3,m=1} f1=x1*x2*x3 at (3/4, 1/2, 1/2)")
+        samples = 1_000_000
+        tracemalloc.start()
+        try:
+            real_report(spec, samples=samples, seed=3, bins=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The images (the draw and the mirror of its first half) and small buffers.
+        assert peak < (samples + samples // 2) * 8 + (6 << 20)
+
+    def test_overflow_refused_before_the_fourier_kernel(self, capsys, monkeypatch):
+        def kernel_spy(*args):
+            raise AssertionError("the Fourier kernel ran on overflowing images")
+
+        monkeypatch.setattr(realnum, "_char_function_magnitudes", kernel_spy)
+        # f1 is x1 where x2^1000 underflows, so the Fourier estimate would run
+        # its kernel, and overflows where x2 is near 1.
+        big = "17" + "0" * 307
+        spec = f"map{{n=2,m=1}} f1=x1+{big}*x2^1000+{big}*x2^1001"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "real", spec, "--seed", "1", "--samples", "100000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the pushforward values overflow double precision")
+        assert err.count("\n") == 1
 
     def test_wide_target_is_refused(self, capsys):
         code, out, err = run_cli(capsys, "real", "map{n=2,m=2} f1=x1^2 f2=x2^2", "--seed", "1",

@@ -65,8 +65,7 @@ def capture(argv: list[str]) -> dict[str, str]:
     return files
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name):
+def assert_matches_golden(name: str) -> None:
     for suffix, text in capture(CASES[name]).items():
         path = GOLDEN / f"{name}.{suffix}"
         expected = path.read_text(encoding="utf-8")
@@ -76,6 +75,20 @@ def test_output_matches_golden(name):
                                         fromfile=f"golden/{path.name}", tofile="output")
             pytest.fail(f"{name}.{suffix} differs from the golden file:\n" + "".join(diff),
                         pytrace=False)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name):
+    assert_matches_golden(name)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("name", sorted(name for name in CASES if CASES[name][0] == "real"))
+def test_real_output_matches_golden_on_any_core_count(name, cores, monkeypatch):
+    from .conftest import use_cores  # here, so the file also runs as a script
+
+    use_cores(monkeypatch, cores)
+    assert_matches_golden(name)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 import math
-import os
 import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from esl.realnum import (
     histogram_log_abs,
 )
 from esl.report import DEFAULT_T_GRID
+from .conftest import use_cores
 from .oracles import (
     CriticalValueError,
     GridTooCoarseError,
@@ -211,7 +212,7 @@ class TestHistogram:
         values = rng.standard_normal(20_001) ** power
         values[::97] = 0.0
         values[5::101] = np.round(values[5::101], 1)  # ties
-        h, magnitudes = histogram_log_abs(values, bins=bins)
+        h, magnitudes = histogram_log_abs(values.copy(), bins=bins)
         positive = np.abs(values)[values != 0]
         assert np.array_equal(magnitudes, np.sort(positive))
         counts, _ = np.histogram(positive, bins=h.edges)
@@ -229,16 +230,37 @@ class TestHistogram:
         values = rng.standard_normal(5_003) ** 3
         values[::11], values[3::13] = 0.0, -0.0
         values[5::7] = np.round(values[5::7], 2)  # ties
-        h, magnitudes = histogram_log_abs(values, bins=bins, lo=lo, hi=hi)
+        h, magnitudes = histogram_log_abs(values.copy(), bins=bins, lo=lo, hi=hi)
         want, want_magnitudes = histogram_log_abs_masked(values, bins=bins, lo=lo, hi=hi)
         assert np.array_equal(h.edges, want.edges)
         assert np.array_equal(h.masses, want.masses) and h.total == want.total
         assert np.array_equal(magnitudes, want_magnitudes)
 
+    def test_magnitudes_sorted_in_the_arguments_memory(self):
+        values = np.array([0.5, -3.0, 0.0, -0.0, 2.0, -0.25])
+        h, magnitudes = histogram_log_abs(values, bins=4)
+        assert np.array_equal(values, [0.0, 0.0, 0.25, 0.5, 2.0, 3.0])
+        assert not np.signbit(values).any()
+        assert np.shares_memory(magnitudes, values) and np.array_equal(magnitudes, values[2:])
+        assert h.masses.sum() == pytest.approx(4 / 6)
+        # Other inputs are converted to a new float64 array, and left as they were.
+        ints, floats32 = [3, -1, 2], np.array([3.0, -1.0, 2.0], dtype=np.float32)
+        for given in (ints, floats32):
+            _, magnitudes = histogram_log_abs(given, bins=2)
+            assert np.array_equal(magnitudes, [1.0, 2.0, 3.0])
+        assert ints == [3, -1, 2] and np.array_equal(floats32, [3.0, -1.0, 2.0])
+
     def test_non_finite_values_refused(self):
         for bad in (np.inf, -np.inf, np.nan):
-            with pytest.raises(realnum.ValueOverflowError, match="overflow double precision"):
-                histogram_log_abs(np.array([0.5, bad, -2.0, 0.0]), bins=4)
+            values = np.array([0.5, bad, -2.0, 0.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for refuse in (realnum.refuse_overflow, partial(histogram_log_abs, bins=4)):
+                    with pytest.raises(realnum.ValueOverflowError,
+                                       match="overflow double precision"):
+                        refuse(values.copy())
+        realnum.refuse_overflow(np.array([]))
+        realnum.refuse_overflow(np.array([-1.7e308, 0.0, 1.7e308]))
 
     @given(st.lists(st.sampled_from([1e-300, 3e-9, 0.25, 0.25, 1.0, 7.5, 1e300])
                     | st.floats(1e-300, 1e300), min_size=1, max_size=60),
@@ -394,7 +416,7 @@ class TestFourierDecay:
         cfg = SampleConfig(seed=SEED, count=100_001,
                            box=((-1, 1), (Fraction(-3, 4), Fraction(3, 4))))
         images = evaluate_array(pmap, cfg, mirror=50_000)[:, 0]
-        values = np.concatenate((images[:50_000], images[100_001:]))
+        values = images[100_001 - 50_000:]
         from_copy = estimate_delta_star_1d(values.copy(), DEFAULT_T_GRID)
         assert estimate_delta_star_1d(values, DEFAULT_T_GRID) == from_copy
         # The caller's images and sample are left as they were.
@@ -422,13 +444,6 @@ class TestFourierDecay:
             tracemalloc.stop()
         assert fit.flag == "unresolvable"
         assert peak < BLOCK * 8 + (1 << 20)  # one block-sized buffer, not a copy of 8 MB
-
-
-def use_cores(monkeypatch, cores, quota=None):
-    """Make the affinity lookup report the given number of usable cores, and
-    the CPU quota lookup the given whole CPUs (None: no quota)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    monkeypatch.setattr(realnum, "_cpu_quota", lambda: quota)
 
 
 class TestCharFunctionKernel:
@@ -552,6 +567,33 @@ class TestSampleStage:
         cfg = SampleConfig.unit_box(seed=SEED, count=count, n=3)
         self.assert_matches_reference(monkeypatch, self.pmap("n3m2"), cfg,
                                       sorted({0, 1, count // 2, count}))
+
+    @pytest.mark.parametrize("count", [1, 3, CHUNK + 7, 2 * SHARD_SIZE + 5])
+    def test_mirror_at_the_ends_of_the_sample(self, monkeypatch, count):
+        cfg = SampleConfig.unit_box(seed=SEED, count=count, n=2, density_weights=(0, 1))
+        self.assert_matches_reference(monkeypatch, self.pmap("n2"), cfg,
+                                      sorted({0, 1, count // 2, max(count // 2, 1), count}))
+
+    @pytest.mark.parametrize("mirror", [CHUNK // 2 + 3, CHUNK, 3 * CHUNK - 1, SHARD_SIZE,
+                                        SHARD_SIZE + CHUNK + 7, 2 * SHARD_SIZE])
+    def test_mirror_mid_chunk_and_on_chunk_and_shard_edges(self, monkeypatch, mirror):
+        cfg = SampleConfig.unit_box(seed=SEED, count=2 * SHARD_SIZE + 5, n=3)
+        self.assert_matches_reference(monkeypatch, self.pmap("n3m2"), cfg, [mirror])
+
+    @pytest.mark.parametrize("count, mirror", [(1, 1), (9, 4), (CHUNK + 1, CHUNK),
+                                               (SHARD_SIZE + 3, SHARD_SIZE // 2 + 1)])
+    def test_layout_by_draw_index(self, count, mirror):
+        # Rows [0, count - mirror): draws mirror, ...; then draws 0, ..., mirror - 1;
+        # then the images of their mirrors.
+        pmap = self.pmap("n1")
+        cfg = unit_cfg(count)
+        got = evaluate_array(pmap, cfg, mirror)
+        plain = evaluate_array(pmap, cfg)
+        assert np.array_equal(got[:count - mirror], plain[mirror:])
+        assert np.array_equal(got[count - mirror:count], plain[:mirror])
+        assert np.array_equal(got[count - mirror:],
+                              evaluate_array(pmap, replace(cfg, count=mirror), mirror))
+        assert np.array_equal(np.sort(got[:count], axis=0), np.sort(plain, axis=0))
 
     @pytest.mark.parametrize("name, weights", [("n1", None), ("n1", (3,)), ("n2", (0, 2)),
                                                ("n3m2", (1, 0, 4))])
